@@ -24,6 +24,7 @@ from .grades import TNormKind, as_grade
 from .kernel import (
     check_proof,
     parse_proof_script,
+    proof_to_json_lines,
     verdict_to_dict,
 )
 from .prototypes import (
@@ -36,10 +37,10 @@ from .questionnaire import (
     ingest_answers,
     load_spec,
     report_to_dict,
+    spec_from_dict,
 )
 from .semantics import Evaluation, eval_basic, find_countermodel, satisfies_formula
 from .syntax import (
-    ParseError,
     parse_basic,
     parse_formula,
     parse_theory,
@@ -187,10 +188,6 @@ def _safe_name(respondent: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]", "_", respondent) or "anon"
 
 
-def _score_reports(spec, sheets, kind):
-    return [cross_check(sheet, spec, kind) for sheet in sheets]
-
-
 def _report_line(report) -> str:
     status = "agree" if report.agreement else "DISAGREE"
     return (
@@ -199,16 +196,29 @@ def _report_line(report) -> str:
     )
 
 
+def _proof_names(stem: str, sheets) -> list:
+    """One proof file name per sheet; refuses two sheets sharing a file."""
+    owners: dict = {}
+    for sheet in sheets:
+        name = f"{stem}.{_safe_name(sheet.respondent)}.proof.jsonl"
+        if name in owners:
+            raise ValueError(
+                f"respondents {owners[name]!r} and {sheet.respondent!r} "
+                f"would share the proof file {name}"
+            )
+        owners[name] = sheet.respondent
+    return list(owners)
+
+
 def _cmd_score(args) -> int:
     spec = load_spec(args.spec)
     sheets = ingest_answers(args.answers, spec)
-    reports = _score_reports(spec, sheets, args.tnorm)
     out_path = Path(args.out)
-    from .kernel import proof_to_json_lines
+    proof_names = _proof_names(out_path.stem, sheets)
+    reports = [cross_check(sheet, spec, args.tnorm) for sheet in sheets]
 
     lines = []
-    for report in reports:
-        proof_name = f"{out_path.stem}.{_safe_name(report.respondent)}.proof.jsonl"
+    for report, proof_name in zip(reports, proof_names):
         proof_path = out_path.parent / proof_name
         proof_path.write_text(proof_to_json_lines(report.proof), encoding="utf-8")
         lines.append(json.dumps(report_to_dict(report, proof_name), sort_keys=True))
@@ -227,12 +237,10 @@ def _cmd_score(args) -> int:
 def _cmd_demo(args) -> int:
     data = resources.files("gradedlogic").joinpath("data")
     spec_text = data.joinpath("demo_questionnaire.json").read_text(encoding="utf-8")
-    from .questionnaire import spec_from_dict
-
     spec = spec_from_dict(json.loads(spec_text))
     with resources.as_file(data.joinpath("demo_answers.csv")) as answers_path:
         sheets = ingest_answers(answers_path, spec)
-    reports = _score_reports(spec, sheets, args.tnorm)
+    reports = [cross_check(sheet, spec, args.tnorm) for sheet in sheets]
     if args.json:
         for report in reports:
             print(json.dumps(report_to_dict(report, None), sort_keys=True))
@@ -335,13 +343,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, ResourceLimitError) as exc:
+        # ParseError is a ValueError, UnboundVariableError a KeyError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

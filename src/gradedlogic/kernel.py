@@ -43,18 +43,27 @@ name is declared):
 
 The mean_* premises are flat conjunctions in any association and order;
 the fixed-arity schemas require their exact binary shape.
+
+A schema is a view plus a condition.  ``_views`` cuts a formula once into
+the shapes the schemas read (a one-antecedent atom, a two-premise arrow,
+...); the condition receives the parts of its view and the session t-norm
+and returns the grade bindings, or None when a side condition fails.  A
+new schema is one ``_SCHEMAS`` entry, placed at its catalogue position.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import ResourceLimitError
 from .grades import (
+    ONE,
+    ZERO,
     TNormKind,
     as_grade,
     luk_tconorm,
@@ -80,15 +89,13 @@ from .syntax import (
     Strong,
     Top,
     Var,
+    implication_parts,
     outer_implies,
     parse_formula,
     render,
 )
 
 DEFAULT_ATOM_CAP = 16
-
-ONE = Fraction(1)
-ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -160,23 +167,19 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _implication_parts(f: OuterFormula):
-    """(premise, conclusion) when ``f`` has the desugared arrow shape."""
-    if isinstance(f, OOr) and isinstance(f.left, ONot):
-        return f.left.operand, f.right
-    return None
-
-
 def _gi_atom(f) -> Optional[GradedImplication]:
     if isinstance(f, Atom) and isinstance(f.content, GradedImplication):
         return f.content
     return None
 
 
-def _single(g: Optional[GradedImplication]):
-    """(antecedent, consequent, grade) for one-antecedent implications."""
+_Unit = namedtuple("_Unit", "ant cons grade")
+
+
+def _single(g: Optional[GradedImplication]) -> Optional[_Unit]:
+    """``g`` as a unit (ant, cons, grade) when it has one antecedent."""
     if g is not None and len(g.antecedents) == 1:
-        return g.antecedents[0], g.consequent, g.grade
+        return _Unit(g.antecedents[0], g.consequent, g.grade)
     return None
 
 
@@ -191,361 +194,195 @@ def _sorted_multiset(exprs: Iterable[BasicExpr]) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Axiom matchers.  Each returns a params tuple (grade bindings, in schema
-# order) on success and None otherwise.
+# Axiom schemas
 # ---------------------------------------------------------------------------
 
 
-def _match_and1(f, kind):
-    parts = _implication_parts(f)
-    if not parts:
-        return None
-    cs = _conjuncts(parts[0])
-    if len(cs) != 2:
-        return None
-    s1, s2, s3 = _single(_gi_atom(cs[0])), _single(_gi_atom(cs[1])), _single(_gi_atom(parts[1]))
-    if not (s1 and s2 and s3):
-        return None
-    a1, b1, d1 = s1
-    a2, b2, d2 = s2
-    a3, b3, d3 = s3
-    if a1 == a2 == a3 and d1 == d2 == d3 and b3 == And(b1, b2):
-        return (d1,)
-    return None
+def _views(f: OuterFormula) -> dict:
+    """Cut ``f`` once into the shapes the schemas read; a view is None when
+    ``f`` lacks its shape.  Units are one-antecedent implications.
 
-
-def _match_and2(f, kind):
-    s = _single(_gi_atom(f))
-    if s and s[2] == ONE and isinstance(s[0], And) and s[1] == s[0].left:
-        return ()
-    return None
-
-
-def _match_and3(f, kind):
-    s = _single(_gi_atom(f))
-    if s and s[2] == ONE and isinstance(s[0], And) and s[1] == s[0].right:
-        return ()
-    return None
-
-
-def _match_or1(f, kind):
-    parts = _implication_parts(f)
-    if not parts:
-        return None
-    cs = _conjuncts(parts[0])
-    if len(cs) != 2:
-        return None
-    s1, s2, s3 = _single(_gi_atom(cs[0])), _single(_gi_atom(cs[1])), _single(_gi_atom(parts[1]))
-    if not (s1 and s2 and s3):
-        return None
-    a1, c1, d1 = s1
-    a2, c2, d2 = s2
-    a3, c3, d3 = s3
-    if c1 == c2 == c3 and d1 == d2 == d3 and a3 == Or(a1, a2):
-        return (d1,)
-    return None
-
-
-def _match_or2(f, kind):
-    s = _single(_gi_atom(f))
-    if s and s[2] == ONE and isinstance(s[1], Or) and s[0] == s[1].left:
-        return ()
-    return None
-
-
-def _match_or3(f, kind):
-    s = _single(_gi_atom(f))
-    if s and s[2] == ONE and isinstance(s[1], Or) and s[0] == s[1].right:
-        return ()
-    return None
-
-
-def _match_strong1(f, kind):
-    parts = _implication_parts(f)
-    if not parts:
-        return None
-    cs = _conjuncts(parts[0])
-    if len(cs) != 2:
-        return None
-    s1, s2, s3 = _single(_gi_atom(cs[0])), _single(_gi_atom(cs[1])), _single(_gi_atom(parts[1]))
-    if not (s1 and s2 and s3):
-        return None
-    if s1[0] != Top() or s2[0] != Top() or s3[0] != Top():
-        return None
-    if s3[1] == Strong(s1[1], s2[1]) and s3[2] == tnorm(kind, s1[2], s2[2]):
-        return (s1[2], s2[2])
-    return None
-
-
-def _match_strong2(f, kind):
-    parts = _implication_parts(f)
-    if not parts:
-        return None
-    cs = _conjuncts(parts[0])
-    if len(cs) != 2:
-        return None
-    s1, s2, s3 = _single(_gi_atom(cs[0])), _single(_gi_atom(cs[1])), _single(_gi_atom(parts[1]))
-    if not (s1 and s2 and s3):
-        return None
-    if s1[1] != Bottom() or s2[1] != Bottom() or s3[1] != Bottom():
-        return None
-    if s3[0] == Strong(s1[0], s2[0]) and s3[2] == tconorm(kind, s1[2], s2[2]):
-        return (s1[2], s2[2])
-    return None
-
-
-def _match_strong3(f, kind):
-    s = _single(_gi_atom(f))
-    if s and s == (Top(), Strong(Top(), Top()), ONE):
-        return ()
-    return None
-
-
-def _match_neg1(f, kind):
-    parts = _implication_parts(f)
-    if not parts:
-        return None
-    s1, s2 = _single(_gi_atom(parts[0])), _single(_gi_atom(parts[1]))
-    if not (s1 and s2):
-        return None
-    if s2 == (Neg(s1[1]), Neg(s1[0]), s1[2]):
-        return (s1[2],)
-    return None
-
-
-def _match_neg2(f, kind):
-    s = _single(_gi_atom(f))
-    if s and s[2] == ONE and s[0] == Neg(Neg(s[1])):
-        return ()
-    return None
-
-
-def _match_neg3(f, kind):
-    s = _single(_gi_atom(f))
-    if s and s[2] == ONE and s[1] == Neg(Neg(s[0])):
-        return ()
-    return None
-
-
-def _match_top(f, kind):
-    s = _single(_gi_atom(f))
-    if s and s[2] == ONE and s[1] == Top():
-        return ()
-    return None
-
-
-def _match_bot(f, kind):
-    s = _single(_gi_atom(f))
-    if s and s[2] == ONE and s[0] == Bottom():
-        return ()
-    return None
-
-
-def _match_zero(f, kind):
+        gi     (g,)        f is the implication atom g
+        unit   (a, b, d)   f is the unit a ->[d] b
+        pair   (x, y, z)   f is (x /\\ y) => z for units x, y, z
+        arrow  (x, y)      f is x => y for units x, y
+        nary   (gs, g)     f is (c1 /\\ ... /\\ cn) => g, n >= 2, for an
+                           implication g; gs[i] is ci as an implication or None
+        mean   (g, z)      f is g => z for an implication g and a unit z
+        not    (a, b, d)   f is !(a ->[d] b)
+        or     (x, y)      f is x \\/ y for units x, y (not an arrow)
+    """
+    views = dict.fromkeys(("gi", "unit", "pair", "arrow", "nary", "mean", "not", "or"))
     g = _gi_atom(f)
-    if g is not None and g.grade == ZERO:
+    if g is not None:
+        views["gi"] = (g,)
+        views["unit"] = _single(g)
+    parts = implication_parts(f)
+    if parts is not None:
+        premise, conclusion = _gi_atom(parts[0]), _gi_atom(parts[1])
+        z = _single(conclusion)
+        if premise is not None and z is not None:
+            views["mean"] = (premise, z)
+            x = _single(premise)
+            if x is not None:
+                views["arrow"] = (x, z)
+        conjuncts = _conjuncts(parts[0])
+        if len(conjuncts) >= 2 and conclusion is not None:
+            gs = tuple(_gi_atom(c) for c in conjuncts)
+            views["nary"] = (gs, conclusion)
+            if len(gs) == 2 and z is not None:
+                x, y = _single(gs[0]), _single(gs[1])
+                if x is not None and y is not None:
+                    views["pair"] = (x, y, z)
+    elif isinstance(f, ONot):
+        views["not"] = _single(_gi_atom(f.operand))
+    elif isinstance(f, OOr):
+        x, y = _single(_gi_atom(f.left)), _single(_gi_atom(f.right))
+        if x is not None and y is not None:
+            views["or"] = (x, y)
+    return views
+
+
+def _neg1(x, y, kind):
+    if y == (Neg(x.cons), Neg(x.ant), x.grade):
+        return (x.grade,)
+    return None
+
+
+def _lin1(x, y, kind):
+    if x.grade == y.grade == ONE and y.ant == x.cons and y.cons == x.ant:
         return ()
     return None
 
 
-def _match_refl(f, kind):
-    s = _single(_gi_atom(f))
-    if s and s[0] == s[1]:
-        return (s[2],)
+def _lin2(x, y, kind):
+    if x.ant == Top() and y.cons == Bottom() and y.ant == x.cons \
+            and y.grade == negate(x.grade):
+        return (x.grade,)
     return None
 
 
-def _match_inkons(f, kind):
-    if not isinstance(f, ONot):
-        return None
-    s = _single(_gi_atom(f.operand))
-    if s and s[0] == Top() and s[1] == Bottom() and s[2] > ZERO:
-        return (s[2],)
-    return None
-
-
-def _match_trans1(f, kind):
-    parts = _implication_parts(f)
-    if not parts:
-        return None
-    cs = _conjuncts(parts[0])
-    if len(cs) != 2:
-        return None
-    s1, s2, s3 = _single(_gi_atom(cs[0])), _single(_gi_atom(cs[1])), _single(_gi_atom(parts[1]))
-    if not (s1 and s2 and s3):
-        return None
-    if s2[0] == s1[1] and s3[0] == s1[0] and s3[1] == s2[1] \
-            and s3[2] == luk_tnorm(s1[2], s2[2]):
-        return (s1[2], s2[2])
-    return None
-
-
-def _match_trans2(f, kind):
-    parts = _implication_parts(f)
-    if not parts:
-        return None
-    cs = _conjuncts(parts[0])
-    if len(cs) != 2:
-        return None
-    s1, s2, s3 = _single(_gi_atom(cs[0])), _single(_gi_atom(cs[1])), _single(_gi_atom(parts[1]))
-    if not (s1 and s2 and s3):
-        return None
-    if s1[1] == Bottom() and s2[0] == Top() and s3[0] == s1[0] and s3[1] == s2[1] \
-            and s3[2] == luk_tconorm(s1[2], s2[2]):
-        return (s1[2], s2[2])
-    return None
-
-
-def _match_lin1(f, kind):
-    if not isinstance(f, OOr) or isinstance(f.left, ONot):
-        return None
-    s1, s2 = _single(_gi_atom(f.left)), _single(_gi_atom(f.right))
-    if s1 and s2 and s1[2] == ONE and s2[2] == ONE \
-            and s2[0] == s1[1] and s2[1] == s1[0]:
-        return ()
-    return None
-
-
-def _match_lin2(f, kind):
-    if not isinstance(f, OOr) or isinstance(f.left, ONot):
-        return None
-    s1, s2 = _single(_gi_atom(f.left)), _single(_gi_atom(f.right))
-    if s1 and s2 and s1[0] == Top() and s2[1] == Bottom() \
-            and s2[0] == s1[1] and s2[2] == negate(s1[2]):
-        return (s1[2],)
-    return None
-
-
-def _match_mean_trans1(f, kind):
-    parts = _implication_parts(f)
-    if not parts:
-        return None
-    cs = _conjuncts(parts[0])
-    if len(cs) < 2:
-        return None
-    concl = _gi_atom(parts[1])
-    if concl is None:
-        return None
-    for j, cand in enumerate(cs):
-        inner = _gi_atom(cand)
-        if inner is None or inner.consequent != concl.consequent:
+def _mean_trans1(gs, conclusion, kind):
+    for j, inner in enumerate(gs):
+        if inner is None or inner.consequent != conclusion.consequent:
             continue
-        rest = cs[:j] + cs[j + 1:]
+        rest = gs[:j] + gs[j + 1:]
         if len(inner.antecedents) != len(rest):
             continue
-        singles = [_single(_gi_atom(r)) for r in rest]
-        if any(s is None for s in singles):
+        steps = [_single(r) for r in rest]
+        if any(s is None for s in steps):
             continue
-        if _sorted_multiset(s[1] for s in singles) != inner.antecedents:
+        if _sorted_multiset(s.cons for s in steps) != inner.antecedents:
             continue
-        if _sorted_multiset(s[0] for s in singles) != concl.antecedents:
+        if _sorted_multiset(s.ant for s in steps) != conclusion.antecedents:
             continue
-        grades = tuple(s[2] for s in singles)
-        if concl.grade == luk_tnorm(mean(grades), inner.grade):
+        grades = tuple(s.grade for s in steps)
+        if conclusion.grade == luk_tnorm(mean(grades), inner.grade):
             return grades + (inner.grade,)
     return None
 
 
-def _match_mean_trans2(f, kind):
-    parts = _implication_parts(f)
-    if not parts:
+def _mean_trans2(gs, conclusion, kind):
+    if len(gs) != 2:
         return None
-    cs = _conjuncts(parts[0])
-    if len(cs) != 2:
-        return None
-    concl = _gi_atom(parts[1])
-    if concl is None:
-        return None
-    for first, second in (cs, reversed(cs)):
-        head = _gi_atom(first)
-        tail = _single(_gi_atom(second))
+    for head, second in (gs, gs[::-1]):
+        tail = _single(second)
         if head is None or tail is None:
             continue
-        if tail[0] == head.consequent and concl.antecedents == head.antecedents \
-                and concl.consequent == tail[1] \
-                and concl.grade == luk_tnorm(head.grade, tail[2]):
-            return (head.grade, tail[2])
+        if tail.ant == head.consequent and conclusion.antecedents == head.antecedents \
+                and conclusion.consequent == tail.cons \
+                and conclusion.grade == luk_tnorm(head.grade, tail.grade):
+            return (head.grade, tail.grade)
     return None
 
 
-def _match_mean_trans3(f, kind):
-    parts = _implication_parts(f)
-    if not parts:
-        return None
-    cs = _conjuncts(parts[0])
-    if len(cs) < 2:
-        return None
-    concl = _gi_atom(parts[1])
-    if concl is None:
-        return None
-    for j, cand in enumerate(cs):
-        s = _single(_gi_atom(cand))
-        if s is None or s[0] != Top() or s[1] != concl.consequent:
+def _mean_trans3(gs, conclusion, kind):
+    for j, g in enumerate(gs):
+        s = _single(g)
+        if s is None or s.ant != Top() or s.cons != conclusion.consequent:
             continue
-        rest = cs[:j] + cs[j + 1:]
-        singles = [_single(_gi_atom(r)) for r in rest]
-        if any(x is None or x[1] != Bottom() for x in singles):
+        steps = [_single(r) for r in gs[:j] + gs[j + 1:]]
+        if any(x is None or x.cons != Bottom() for x in steps):
             continue
-        if _sorted_multiset(x[0] for x in singles) != concl.antecedents:
+        if _sorted_multiset(x.ant for x in steps) != conclusion.antecedents:
             continue
-        grades = tuple(x[2] for x in singles)
-        if concl.grade == luk_tconorm(mean(grades), s[2]):
-            return grades + (s[2],)
+        grades = tuple(x.grade for x in steps)
+        if conclusion.grade == luk_tconorm(mean(grades), s.grade):
+            return grades + (s.grade,)
     return None
 
 
-def _match_mean_top(f, kind):
-    parts = _implication_parts(f)
-    if not parts:
-        return None
-    prem = _gi_atom(parts[0])
-    concl = _single(_gi_atom(parts[1]))
-    if prem is None or concl is None:
-        return None
-    if all(a == Top() for a in prem.antecedents) and concl[0] == Top() \
-            and concl[1] == prem.consequent and concl[2] == prem.grade:
-        return (prem.grade,)
+def _mean_top(premise, z, kind):
+    if all(a == Top() for a in premise.antecedents) \
+            and z == (Top(), premise.consequent, premise.grade):
+        return (premise.grade,)
     return None
 
 
-_MATCHERS: Sequence = (
-    ("and1", _match_and1),
-    ("and2", _match_and2),
-    ("and3", _match_and3),
-    ("or1", _match_or1),
-    ("or2", _match_or2),
-    ("or3", _match_or3),
-    ("strong1", _match_strong1),
-    ("strong2", _match_strong2),
-    ("strong3", _match_strong3),
-    ("neg1", _match_neg1),
-    ("neg2", _match_neg2),
-    ("neg3", _match_neg3),
-    ("top", _match_top),
-    ("bot", _match_bot),
-    ("zero", _match_zero),
-    ("refl", _match_refl),
-    ("inkons", _match_inkons),
-    ("trans1", _match_trans1),
-    ("trans2", _match_trans2),
-    ("lin1", _match_lin1),
-    ("lin2", _match_lin2),
-    ("mean_trans1", _match_mean_trans1),
-    ("mean_trans2", _match_mean_trans2),
-    ("mean_trans3", _match_mean_trans3),
-    ("mean_top", _match_mean_top),
-)
+# Schema name -> (view, condition), in catalogue (match) order.
+_SCHEMAS = {
+    "and1": ("pair", lambda x, y, z, kind: (x.grade,) if (
+        x.ant == y.ant == z.ant and x.grade == y.grade == z.grade
+        and z.cons == And(x.cons, y.cons)) else None),
+    "and2": ("unit", lambda a, b, d, kind: () if (
+        d == ONE and isinstance(a, And) and b == a.left) else None),
+    "and3": ("unit", lambda a, b, d, kind: () if (
+        d == ONE and isinstance(a, And) and b == a.right) else None),
+    "or1": ("pair", lambda x, y, z, kind: (x.grade,) if (
+        x.cons == y.cons == z.cons and x.grade == y.grade == z.grade
+        and z.ant == Or(x.ant, y.ant)) else None),
+    "or2": ("unit", lambda a, b, d, kind: () if (
+        d == ONE and isinstance(b, Or) and a == b.left) else None),
+    "or3": ("unit", lambda a, b, d, kind: () if (
+        d == ONE and isinstance(b, Or) and a == b.right) else None),
+    "strong1": ("pair", lambda x, y, z, kind: (x.grade, y.grade) if (
+        x.ant == y.ant == z.ant == Top() and z.cons == Strong(x.cons, y.cons)
+        and z.grade == tnorm(kind, x.grade, y.grade)) else None),
+    "strong2": ("pair", lambda x, y, z, kind: (x.grade, y.grade) if (
+        x.cons == y.cons == z.cons == Bottom() and z.ant == Strong(x.ant, y.ant)
+        and z.grade == tconorm(kind, x.grade, y.grade)) else None),
+    "strong3": ("unit", lambda a, b, d, kind: () if (
+        (a, b, d) == (Top(), Strong(Top(), Top()), ONE)) else None),
+    "neg1": ("arrow", _neg1),
+    "neg2": ("unit", lambda a, b, d, kind: () if (
+        d == ONE and a == Neg(Neg(b))) else None),
+    "neg3": ("unit", lambda a, b, d, kind: () if (
+        d == ONE and b == Neg(Neg(a))) else None),
+    "top": ("unit", lambda a, b, d, kind: () if d == ONE and b == Top() else None),
+    "bot": ("unit", lambda a, b, d, kind: () if d == ONE and a == Bottom() else None),
+    "zero": ("gi", lambda g, kind: () if g.grade == ZERO else None),
+    "refl": ("unit", lambda a, b, d, kind: (d,) if a == b else None),
+    "inkons": ("not", lambda a, b, d, kind: (d,) if (
+        a == Top() and b == Bottom() and d > ZERO) else None),
+    "trans1": ("pair", lambda x, y, z, kind: (x.grade, y.grade) if (
+        y.ant == x.cons and z.ant == x.ant and z.cons == y.cons
+        and z.grade == luk_tnorm(x.grade, y.grade)) else None),
+    "trans2": ("pair", lambda x, y, z, kind: (x.grade, y.grade) if (
+        x.cons == Bottom() and y.ant == Top() and z.ant == x.ant and z.cons == y.cons
+        and z.grade == luk_tconorm(x.grade, y.grade)) else None),
+    "lin1": ("or", _lin1),
+    "lin2": ("or", _lin2),
+    "mean_trans1": ("nary", _mean_trans1),
+    "mean_trans2": ("nary", _mean_trans2),
+    "mean_trans3": ("nary", _mean_trans3),
+    "mean_top": ("mean", _mean_top),
+}
 
-SCHEMA_NAMES = tuple(name for name, _ in _MATCHERS)
+SCHEMA_NAMES = tuple(_SCHEMAS)
 
-_MATCHER_BY_NAME = dict(_MATCHERS)
+
+def _apply(schema: str, views: dict, kind: TNormKind):
+    view, condition = _SCHEMAS[schema]
+    parts = views[view]
+    return None if parts is None else condition(*parts, kind)
 
 
 def match_axiom(f: OuterFormula, kind: TNormKind = TNormKind.LUKASIEWICZ):
     """First schema (in catalogue order) that ``f`` instantiates, with its
     grade parameters; None when no schema applies."""
-    for name, matcher in _MATCHERS:
-        params = matcher(f, kind)
+    views = _views(f)
+    for name in _SCHEMAS:
+        params = _apply(name, views, kind)
         if params is not None:
             return name, params
     return None
@@ -554,10 +391,9 @@ def match_axiom(f: OuterFormula, kind: TNormKind = TNormKind.LUKASIEWICZ):
 def match_schema(f: OuterFormula, schema: str,
                  kind: TNormKind = TNormKind.LUKASIEWICZ):
     """Match ``f`` against one named schema only."""
-    matcher = _MATCHER_BY_NAME.get(schema)
-    if matcher is None:
+    if schema not in _SCHEMAS:
         raise ValueError(f"unknown axiom schema {schema!r}")
-    return matcher(f, kind)
+    return _apply(schema, _views(f), kind)
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +469,7 @@ def check_proof(
                 )
         elif isinstance(just, AxiomInst):
             if just.schema is not None:
-                if just.schema not in _MATCHER_BY_NAME:
+                if just.schema not in _SCHEMAS:
                     return Verdict(False, i, f"unknown axiom schema {just.schema!r}")
                 if match_schema(line.formula, just.schema, kind) is None:
                     return Verdict(
@@ -698,13 +534,6 @@ class ProofBuilder:
         self.lines: list = []
         self._index: dict = {}
 
-    @classmethod
-    def from_proof(cls, proof: Proof, kind: TNormKind = TNormKind.LUKASIEWICZ):
-        builder = cls(proof.theory, kind)
-        for line in proof.lines:
-            builder._append(line.formula, line.just)
-        return builder
-
     def _append(self, formula: OuterFormula, just: Justification) -> int:
         existing = self._index.get(formula)
         if existing is not None:
@@ -731,7 +560,7 @@ class ProofBuilder:
         return self._append(formula, Taut(len(seen)))
 
     def mp(self, minor: int, major: int) -> int:
-        shape = _implication_parts(self.lines[major].formula)
+        shape = implication_parts(self.lines[major].formula)
         if shape is None or shape[0] != self.lines[minor].formula:
             raise ValueError("modus ponens premises do not fit")
         conclusion = shape[1]
@@ -995,23 +824,36 @@ def proof_to_json_lines(proof: Proof) -> str:
     return "\n".join(out) + "\n"
 
 
-def _just_from_dict(d: dict, lineno: int) -> Justification:
+def _int_arg(args: dict, name: str, lineno: int) -> int:
+    """A JSON integer; floats and booleans are not line or theory indices."""
+    value = args[name]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"proof line {lineno}: {name} must be an integer, got {value!r}")
+    return value
+
+
+def _just_from_dict(d, lineno: int) -> Justification:
+    if not isinstance(d, dict):
+        raise ValueError(f"proof line {lineno}: just must be an object")
     kind = d.get("kind")
-    args = d.get("args") or {}
+    args = d.get("args", {})
+    if not isinstance(args, dict):
+        raise ValueError(f"proof line {lineno}: args must be an object")
     if kind == "hyp":
         if "index" not in args:
             raise ValueError(f"proof line {lineno}: hyp needs an index")
-        return Hyp(int(args["index"]))
+        return Hyp(_int_arg(args, "index", lineno))
     if kind == "axiom":
         schema = args.get("schema")
+        if schema is not None and not isinstance(schema, str):
+            raise ValueError(f"proof line {lineno}: schema must be a string, got {schema!r}")
         return AxiomInst(schema)
     if kind == "taut":
-        atoms = args.get("atoms")
-        return Taut(None if atoms is None else int(atoms))
+        return Taut(_int_arg(args, "atoms", lineno) if "atoms" in args else None)
     if kind == "mp":
         if "minor" not in args or "major" not in args:
             raise ValueError(f"proof line {lineno}: mp needs minor and major")
-        return MP(int(args["minor"]), int(args["major"]))
+        return MP(_int_arg(args, "minor", lineno), _int_arg(args, "major", lineno))
     raise ValueError(f"proof line {lineno}: unknown justification kind {kind!r}")
 
 
@@ -1032,6 +874,8 @@ def parse_proof_script(text: str, theory: Sequence[OuterFormula]) -> Proof:
             raise ValueError(f"proof line {lineno}: bad JSON ({exc.msg})") from None
         if not isinstance(obj, dict) or "formula" not in obj or "just" not in obj:
             raise ValueError(f"proof line {lineno}: expected formula and just fields")
+        if not isinstance(obj["formula"], str):
+            raise ValueError(f"proof line {lineno}: formula must be a string")
         try:
             formula = parse_formula(obj["formula"])
         except ParseError as exc:

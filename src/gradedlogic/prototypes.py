@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ResourceLimitError, UnboundVariableError
-from .grades import Grade, as_grade
+from .grades import ONE, ZERO, Grade, as_grade
 from .syntax import (
     Atom,
     GradedVariable,
@@ -33,14 +33,12 @@ from .syntax import (
     ONot,
     OOr,
     OuterFormula,
+    implication_parts,
 )
 
 DEFAULT_GRID_BUDGET = 5_000_000
 
 World = tuple
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def world(values: Iterable) -> World:
@@ -252,18 +250,12 @@ def canonical_disorder_eval(
 # ---------------------------------------------------------------------------
 
 
-def _implication_sides(f: OuterFormula):
-    if isinstance(f, OOr) and isinstance(f.left, ONot):
-        return f.left.operand, f.right
-    return None
-
-
 def _biconditional_sides(f: OuterFormula):
     """(phi, psi) when ``f`` is (phi => psi) /\\ (psi => phi) in some order."""
     if not isinstance(f, OAnd):
         return None
-    one = _implication_sides(f.left)
-    two = _implication_sides(f.right)
+    one = implication_parts(f.left)
+    two = implication_parts(f.right)
     if one is None or two is None:
         return None
     if one[0] == two[1] and one[1] == two[0]:

@@ -91,10 +91,13 @@ class ScoreReport:
 def spec_from_dict(data: dict) -> QuestionnaireSpec:
     try:
         items = tuple((item["id"], item["text"]) for item in data["items"])
+        steps = data["scale_steps"]
+        if not isinstance(steps, int) or isinstance(steps, bool):
+            raise ValueError(f"scale_steps must be an integer, got {steps!r}")
         return QuestionnaireSpec(
             name=data["name"],
             items=items,
-            scale_steps=int(data["scale_steps"]),
+            scale_steps=steps,
             disorder=data["disorder"],
             aggregation=data.get("aggregation", "mean"),
         )

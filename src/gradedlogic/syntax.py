@@ -191,6 +191,13 @@ def outer_implies(phi: OuterFormula, psi: OuterFormula) -> OOr:
     return OOr(ONot(phi), psi)
 
 
+def implication_parts(f: OuterFormula):
+    """(phi, psi) when ``f`` is ``outer_implies(phi, psi)``, else None."""
+    if isinstance(f, OOr) and isinstance(f.left, ONot):
+        return f.left.operand, f.right
+    return None
+
+
 def atom_kinds(f: OuterFormula) -> frozenset:
     """The set of atom kinds ("implication" / "variable") occurring in ``f``."""
     if isinstance(f, Atom):

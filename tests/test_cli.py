@@ -251,6 +251,29 @@ class TestCheckProofCommand:
         assert code == 2
         assert "bad JSON" in err
 
+    @pytest.mark.parametrize("line", [
+        '{"formula": "phi1, phi2 ->[1] delta", "just": 5}',
+        '{"formula": 3, "just": {"kind": "hyp", "args": {"index": 0}}}',
+        '{"formula": "phi1, phi2 ->[1] delta",'
+        ' "just": {"kind": "hyp", "args": {"index": 0.9}}}',
+        '{"formula": "phi1, phi2 ->[1] delta",'
+        ' "just": {"kind": "hyp", "args": {"index": false}}}',
+        '{"formula": "phi1, phi2 ->[1] delta",'
+        ' "just": {"kind": "axiom", "args": {"schema": 7}}}',
+    ], ids=["just-number", "formula-number", "index-float", "index-bool",
+            "schema-number"])
+    def test_malformed_shapes_are_usage_errors(self, proof_files, capsys,
+                                               tmp_path, line):
+        theory, _ = proof_files
+        script = tmp_path / "shape.jsonl"
+        script.write_text(line + "\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "check-proof", "--theory", theory, "--proof", str(script)
+        )
+        assert code == 2
+        assert not out
+        assert err.startswith("error: proof line 0:")
+
 
 CANONICAL_THEORY = """\
 ((!((d, 1)) \\/ ((p1, 1) /\\ (p2, 1))) /\\ (!(((p1, 1) /\\ (p2, 1))) \\/ (d, 1)))
@@ -380,6 +403,38 @@ class TestScoreCommand:
         )
         assert code == 2
         assert "outside" in err
+
+    @pytest.mark.parametrize("rows", ["a_b,4,2\na/b,0,1\n", "amy,4,2\namy,0,1\n"],
+                             ids=["colliding", "duplicate"])
+    def test_respondents_sharing_a_proof_file_are_refused(self, inputs, capsys,
+                                                          rows):
+        spec, _, tmp_path = inputs
+        answers = tmp_path / "clash.csv"
+        answers.write_text("respondent,m1,m2\n" + rows, encoding="utf-8")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, out, err = run(
+            capsys, "score", "--spec", spec, "--answers", str(answers),
+            "--out", str(out_dir / "r.jsonl"),
+        )
+        assert code == 2
+        assert not out
+        assert "would share the proof file" in err
+        assert not list(out_dir.iterdir())
+
+    @pytest.mark.parametrize("steps", [True, 4.7, "4"])
+    def test_scale_steps_must_be_an_integer(self, inputs, capsys, steps):
+        _, answers, tmp_path = inputs
+        spec = tmp_path / "steps.json"
+        spec.write_text(json.dumps(dict(DEMO_SPEC, scale_steps=steps)),
+                        encoding="utf-8")
+        code, out, err = run(
+            capsys, "score", "--spec", str(spec), "--answers", answers,
+            "--out", str(tmp_path / "r.jsonl"),
+        )
+        assert code == 2
+        assert not out
+        assert "scale_steps must be an integer" in err
 
 
 class TestDemoCommand:

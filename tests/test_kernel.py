@@ -9,6 +9,7 @@ random evaluations.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -50,6 +51,7 @@ from gradedlogic import (
     mean,
     negate,
     outer_implies,
+    parse_formula,
     parse_proof_script,
     proof_to_json_lines,
     render,
@@ -138,6 +140,82 @@ class TestSchemaRecognition:
     def test_unknown_schema_name(self):
         with pytest.raises(ValueError):
             match_schema(Atom(gi(P, P, 1)), "mystery")
+
+
+# One hand-written instance per schema with the (name, params) the kernel
+# reports for it.  Params are serialised into proof files, so their values
+# and order are part of the output format.
+PINNED_INSTANCES = [
+    ("and1", r"(!(p ->[2/3] q /\ p ->[2/3] r) \/ p ->[2/3] (q & r))", ("2/3",)),
+    ("and2", "(p & q) ->[1] p", ()),
+    ("and3", "(p & q) ->[1] q", ()),
+    ("or1", r"(!(p ->[1/4] r /\ q ->[1/4] r) \/ (p | q) ->[1/4] r)", ("1/4",)),
+    ("or2", "p ->[1] (p | q)", ()),
+    ("or3", "q ->[1] (p | q)", ()),
+    ("strong1", r"(!(top ->[7/10] p /\ top ->[3/5] q) \/ top ->[3/10] (p * q))",
+     ("7/10", "3/5")),
+    ("strong2", r"(!(p ->[1/5] bot /\ q ->[1/2] bot) \/ (p * q) ->[7/10] bot)",
+     ("1/5", "1/2")),
+    ("strong3", "top ->[1] (top * top)", ()),
+    ("neg1", r"(!(p ->[3/4] q) \/ ~q ->[3/4] ~p)", ("3/4",)),
+    ("neg2", "~~p ->[1] p", ()),
+    ("neg3", "p ->[1] ~~p", ()),
+    ("top", "p ->[1] top", ()),
+    ("bot", "bot ->[1] p", ()),
+    ("zero", "p ->[0] q", ()),
+    ("refl", "p ->[2/5] p", ("2/5",)),
+    ("inkons", "!(top ->[1/3] bot)", ("1/3",)),
+    ("trans1", r"(!(p ->[7/10] q /\ q ->[4/5] r) \/ p ->[1/2] r)", ("7/10", "4/5")),
+    ("trans2", r"(!(p ->[1/5] bot /\ top ->[1/2] q) \/ p ->[7/10] q)", ("1/5", "1/2")),
+    ("lin1", r"(p ->[1] q \/ q ->[1] p)", ()),
+    ("lin2", r"(top ->[1/3] p \/ p ->[2/3] bot)", ("1/3",)),
+    ("mean_trans1",
+     r"(!((p ->[1/2] r /\ q ->[3/4] s) /\ r, s ->[9/10] t) \/ p, q ->[21/40] t)",
+     ("1/2", "3/4", "9/10")),
+    ("mean_trans2", r"(!(p, q ->[3/5] r /\ r ->[4/5] s) \/ p, q ->[2/5] s)",
+     ("3/5", "4/5")),
+    ("mean_trans3",
+     r"(!((p ->[1/4] bot /\ q ->[1/2] bot) /\ top ->[1/8] r) \/ p, q ->[1/2] r)",
+     ("1/4", "1/2", "1/8")),
+    ("mean_top", r"(!(top, top, top ->[5/6] p) \/ top ->[5/6] p)", ("5/6",)),
+]
+
+
+class TestPinnedOutputs:
+    """Recogniser results and proof bytes that must not drift."""
+
+    def test_every_schema_is_pinned_once(self):
+        assert tuple(name for name, _, _ in PINNED_INSTANCES) == SCHEMA_NAMES
+
+    @pytest.mark.parametrize("schema, text, params", PINNED_INSTANCES,
+                             ids=[row[0] for row in PINNED_INSTANCES])
+    def test_instance_params(self, schema, text, params):
+        f = parse_formula(text)
+        expected = tuple(Fraction(p) for p in params)
+        assert match_axiom(f) == (schema, expected)
+        assert match_schema(f, schema) == expected
+
+    @pytest.mark.parametrize("answers, digest", [
+        ("2/3", "237107645816897bb600e90e122345ddf149981b4078955a393d3d98bfe965c4"),
+        ("1 3/4 1/2 1/4",
+         "d8712b4cfa83a36a9d11ce0f89b3e3a6a1643344814abc6d6cbc11b8e1b7a0ef"),
+        ("0 1/4 1/2 3/4 1 0 1/4 1/2 3/4",
+         "0b2ab9f852df6370c64249e2f4954ff19ecce8a7bd8cfcaf71dc4e81849ce2e0"),
+    ])
+    def test_score_derivation_bytes(self, answers, digest):
+        grades = [Fraction(a) for a in answers.split()]
+        text = proof_to_json_lines(build_score_derivation(len(grades), grades))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_weaken_chain_bytes(self):
+        b = ProofBuilder((Atom(GradedImplication((P, Q), R, Fraction(3, 4))),))
+        line = b.hyp(0)
+        for target in (Fraction(2, 3), Fraction(1, 2), Fraction(1, 5), 0):
+            line = b.weaken(line, target)
+        text = proof_to_json_lines(b.build())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "4703e5e18eca5c05b940bcefc0e5a72fcd56903a3c76fdd37b543fb21001524f"
+        )
 
 
 class TestSchemaRejection:
@@ -517,11 +595,6 @@ class TestProofBuilder:
             line = b.weaken(b.hyp(0), t)
             assert b.lines[line].formula.content.grade == t
             assert check_proof((f,), b.build()).accepted
-
-    def test_from_proof_round_trip(self):
-        proof = build_score_derivation(2, [Fraction(1, 2), Fraction(1)])
-        again = ProofBuilder.from_proof(proof).build()
-        assert again == proof
 
 
 class TestScoreTheory:
