@@ -4,7 +4,8 @@ from __future__ import annotations
 
 
 class ResourceLimitError(RuntimeError):
-    """A finite search (grid enumeration, truth table) would exceed its budget.
+    """A finite search (grid enumeration, tautology branch budget) would exceed
+    its budget.
 
     Raised instead of silently truncating: callers must either raise the
     budget deliberately or shrink the problem.

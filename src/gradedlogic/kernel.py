@@ -3,7 +3,8 @@ r"""Hilbert-style proof kernel for graded implications.
 A proof is a sequence of lines over a fixed theory; each line carries a
 formula and a justification: hypothesis (index into the theory), axiom
 (instance of one of 25 schemas), tautology (substitution instance of a
-classical tautology over the formula's atoms), or modus ponens from two
+classical tautology over the formula's atoms, decided by branching on one
+atom at a time within a budget of branches), or modus ponens from two
 earlier lines.  The kernel re-derives every claim: axiom instances are
 recognised structurally and every arithmetic side condition is checked
 with exact rational arithmetic.  Transitivity-style side conditions always
@@ -53,7 +54,6 @@ new schema is one ``_SCHEMAS`` entry, placed at its catalogue position.
 
 from __future__ import annotations
 
-import itertools
 import json
 from collections import namedtuple
 from dataclasses import dataclass
@@ -95,7 +95,7 @@ from .syntax import (
     render,
 )
 
-DEFAULT_ATOM_CAP = 16
+DEFAULT_BRANCH_CAP = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +120,9 @@ class AxiomInst:
 
 @dataclass(frozen=True)
 class Taut:
-    """Substitution instance of a classical tautology; ``atoms`` summarises the
-    truth table that witnessed it (2**atoms rows, all true)."""
+    """Substitution instance of a classical tautology; ``atoms`` is its number
+    of distinct atoms.  The checker decides the line by branching on them and
+    does not read this count."""
 
     atoms: Optional[int] = None
 
@@ -401,45 +402,77 @@ def match_schema(f: OuterFormula, schema: str,
 # ---------------------------------------------------------------------------
 
 
-def _distinct_atoms(f: OuterFormula, seen: dict) -> None:
-    if isinstance(f, Atom):
-        seen.setdefault(f, len(seen))
-    elif isinstance(f, ONot):
-        _distinct_atoms(f.operand, seen)
-    elif isinstance(f, (OAnd, OOr)):
-        _distinct_atoms(f.left, seen)
-        _distinct_atoms(f.right, seen)
-    else:
-        raise TypeError(f"not an outer formula: {f!r}")
+_NOT, _AND, _OR = 0, 1, 2
 
 
-def _eval_classical(f: OuterFormula, assignment: dict) -> bool:
+def _compile(f: OuterFormula, index: dict):
+    """The formula as nested tuples over ints: each distinct atom becomes its
+    first-occurrence number in ``index``; connectives become
+    ``(_NOT, x)``, ``(_AND, x, y)`` and ``(_OR, x, y)``."""
     if isinstance(f, Atom):
-        return assignment[f]
+        return index.setdefault(f, len(index))
     if isinstance(f, ONot):
-        return not _eval_classical(f.operand, assignment)
+        return (_NOT, _compile(f.operand, index))
     if isinstance(f, OAnd):
-        return _eval_classical(f.left, assignment) and _eval_classical(f.right, assignment)
-    return _eval_classical(f.left, assignment) or _eval_classical(f.right, assignment)
+        return (_AND, _compile(f.left, index), _compile(f.right, index))
+    if isinstance(f, OOr):
+        return (_OR, _compile(f.left, index), _compile(f.right, index))
+    raise TypeError(f"not an outer formula: {f!r}")
 
 
-def match_tautology(f: OuterFormula, atom_cap: int = DEFAULT_ATOM_CAP) -> bool:
-    """Truth-table check treating distinct atoms as independent booleans.
+def _assign(node, atom: int, value: bool):
+    """Substitute ``value`` for ``atom`` and constant-fold.  The result is a
+    bool or a node without constants inside."""
+    if type(node) is int:
+        return value if node == atom else node
+    x = _assign(node[1], atom, value)
+    if node[0] == _NOT:
+        return (not x) if type(x) is bool else (_NOT, x)
+    absorbing = node[0] == _OR
+    if x is absorbing:
+        return x
+    y = _assign(node[2], atom, value)
+    if y is absorbing or type(x) is bool:
+        return y
+    if type(y) is bool:
+        return x
+    return (node[0], x, y)
 
-    Raises ResourceLimitError past ``atom_cap`` atoms instead of attempting
-    2**cap rows silently.
+
+def _tautology(f: OuterFormula, branch_cap: int) -> Optional[int]:
+    """Quine's method: split on the first atom left, substitute true and false,
+    constant-fold, and decide each branch the same way.
+
+    Returns the number of distinct atoms when every branch folds to true, or
+    None.  A formula over k atoms needs at most 2**k - 1 splits; past
+    ``branch_cap`` splits ResourceLimitError is raised instead.
     """
-    seen: dict = {}
-    _distinct_atoms(f, seen)
-    atoms = list(seen)
-    if len(atoms) > atom_cap:
-        raise ResourceLimitError(
-            f"{len(atoms)} distinct atoms exceed the truth-table cap of {atom_cap}"
-        )
-    for bits in itertools.product((False, True), repeat=len(atoms)):
-        if not _eval_classical(f, dict(zip(atoms, bits))):
-            return False
-    return True
+    index: dict = {}
+    pending = [_compile(f, index)]
+    branches = 0
+    while pending:
+        node = pending.pop()
+        if node is True:
+            continue
+        if node is False:
+            return None
+        branches += 1
+        if branches > branch_cap:
+            raise ResourceLimitError(
+                f"deciding the tautology needs more than {branch_cap} branches"
+            )
+        atom = node
+        while type(atom) is not int:
+            atom = atom[1]
+        pending.append(_assign(node, atom, True))
+        pending.append(_assign(node, atom, False))
+    return len(index)
+
+
+def match_tautology(f: OuterFormula, branch_cap: int = DEFAULT_BRANCH_CAP) -> bool:
+    """Whether ``f`` is classically valid with distinct atoms as independent
+    booleans; see ``_tautology`` for the method and the budget."""
+    return _tautology(f, branch_cap) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +484,7 @@ def check_proof(
     theory: Sequence[OuterFormula],
     proof: Proof,
     kind: TNormKind = TNormKind.LUKASIEWICZ,
-    atom_cap: int = DEFAULT_ATOM_CAP,
+    branch_cap: int = DEFAULT_BRANCH_CAP,
 ) -> Verdict:
     """Re-derive every line; the first failure yields a rejecting Verdict."""
     theory = tuple(theory)
@@ -478,7 +511,7 @@ def check_proof(
             elif match_axiom(line.formula, kind) is None:
                 return Verdict(False, i, "not an instance of any axiom schema")
         elif isinstance(just, Taut):
-            if not match_tautology(line.formula, atom_cap):
+            if not match_tautology(line.formula, branch_cap):
                 return Verdict(False, i, "not a classical tautology instance")
         elif isinstance(just, MP):
             if not (0 <= just.minor < i and 0 <= just.major < i):
@@ -553,11 +586,10 @@ class ProofBuilder:
         return self._append(formula, AxiomInst(found[0], found[1]))
 
     def taut(self, formula: OuterFormula) -> int:
-        seen: dict = {}
-        _distinct_atoms(formula, seen)
-        if not match_tautology(formula):
+        atoms = _tautology(formula, DEFAULT_BRANCH_CAP)
+        if atoms is None:
             raise ValueError(f"not a tautology instance: {render(formula)}")
-        return self._append(formula, Taut(len(seen)))
+        return self._append(formula, Taut(atoms))
 
     def mp(self, minor: int, major: int) -> int:
         shape = implication_parts(self.lines[major].formula)

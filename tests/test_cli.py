@@ -436,6 +436,42 @@ class TestScoreCommand:
         assert not out
         assert "scale_steps must be an integer" in err
 
+    def test_twenty_one_items_score_and_recheck(self, capsys, tmp_path):
+        ids = [f"m{i}" for i in range(21)]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(dict(
+            DEMO_SPEC, items=[{"id": i, "text": "prompt"} for i in ids],
+        )), encoding="utf-8")
+        raw = [i % 5 for i in range(21)]
+        answers = tmp_path / "answers.csv"
+        answers.write_text(
+            "respondent," + ",".join(ids) + "\nann,"
+            + ",".join(map(str, raw)) + "\n",
+            encoding="utf-8",
+        )
+        out_path = tmp_path / "reports.jsonl"
+        code, out, _ = run(
+            capsys, "score", "--spec", str(spec), "--answers", str(answers),
+            "--out", str(out_path),
+        )
+        assert code == 0
+        assert "ann: mean=10/21 distance=10/21 derivation=10/21 agree" in out
+
+        report = json.loads(out_path.read_text(encoding="utf-8"))
+        theory = score_theory(
+            [Fraction(a, 4) for a in raw], items=ids, disorder="dep"
+        )
+        theory_path = tmp_path / "theory.lgi"
+        theory_path.write_text(
+            "\n".join(render(f) for f in theory) + "\n", encoding="utf-8"
+        )
+        code, out, _ = run(
+            capsys, "check-proof", "--theory", str(theory_path),
+            "--proof", str(tmp_path / report["proof"]),
+        )
+        assert code == 0
+        assert out.strip() == "accepted"
+
 
 class TestDemoCommand:
     def test_demo_agrees(self, capsys):

@@ -10,6 +10,7 @@ random evaluations.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -86,7 +87,7 @@ class TestSchemaRecognition:
 
     @pytest.mark.parametrize("schema", SCHEMA_NAMES)
     def test_built_instances_are_recognised(self, schema):
-        rng = random.Random(4000 + hash(schema) % 1000)
+        rng = random.Random(f"recognise:{schema}")
         for kind in ALL_KINDS:
             for _ in range(60):
                 inst = axiom_instance(rng, schema, kind)
@@ -364,18 +365,100 @@ class TestTautologies:
         assert not match_tautology(outer_implies(a, b))
         assert match_tautology(outer_implies(a, a))
 
-    def test_atom_cap(self):
+    def test_seventeen_atoms_are_decided(self):
         atoms = [Atom(gi(Var(f"v{i}"), Q, 1)) for i in range(17)]
         f = atoms[0]
         for nxt in atoms[1:]:
             f = OOr(f, nxt)
+        assert not match_tautology(f)
+        assert match_tautology(OOr(f, ONot(f)))
+
+    def test_branch_budget(self):
+        # parity never folds before every atom is fixed: 2**8 - 1 splits
+        atoms = [Atom(gi(Var(f"v{i}"), Q, 1)) for i in range(8)]
+        x = atoms[0]
+        for a in atoms[1:]:
+            x = OOr(OAnd(x, ONot(a)), OAnd(ONot(x), a))
+        f = OOr(x, ONot(x))
         with pytest.raises(ResourceLimitError):
-            match_tautology(f)
-        # sixteen atoms is within the default cap
-        g = atoms[0]
-        for nxt in atoms[1:16]:
-            g = OOr(g, nxt)
-        assert not match_tautology(g)
+            match_tautology(f, branch_cap=64)
+        with pytest.raises(ResourceLimitError):
+            match_tautology(f, branch_cap=254)
+        assert match_tautology(f, branch_cap=255)
+        assert match_tautology(f)
+
+
+def _truth_table(f) -> tuple:
+    """Oracle: whether every row of the classical truth table over f's atoms
+    is true, and how many atoms it has."""
+    atoms: list = []
+
+    def collect(g):
+        if isinstance(g, Atom):
+            if g not in atoms:
+                atoms.append(g)
+        elif isinstance(g, ONot):
+            collect(g.operand)
+        else:
+            collect(g.left)
+            collect(g.right)
+
+    def value(g, row):
+        if isinstance(g, Atom):
+            return row[g]
+        if isinstance(g, ONot):
+            return not value(g.operand, row)
+        if isinstance(g, OAnd):
+            return value(g.left, row) and value(g.right, row)
+        return value(g.left, row) or value(g.right, row)
+
+    collect(f)
+    return all(
+        value(f, dict(zip(atoms, bits)))
+        for bits in itertools.product((False, True), repeat=len(atoms))
+    ), len(atoms)
+
+
+def _random_outer(rng: random.Random, pool: list, depth: int):
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(pool)
+    shape = rng.randrange(3)
+    if shape == 0:
+        return ONot(_random_outer(rng, pool, depth - 1))
+    cls = OAnd if shape == 1 else OOr
+    return cls(_random_outer(rng, pool, depth - 1), _random_outer(rng, pool, depth - 1))
+
+
+class TestTautologyDifferential:
+    """Branching against a truth-table oracle on seeded random formulas."""
+
+    def test_agrees_with_truth_table(self):
+        rng = random.Random(7301)
+        random_valid = 0
+        for i in range(2600):
+            k = rng.randint(1, 10)
+            pool = [Atom(gi(Var(f"v{j}"), Q, Fraction(j, 10))) for j in range(k)]
+            if i < 2000:
+                f = _random_outer(rng, pool, 6)
+            else:
+                # excluded middle, modus ponens, conjunction introduction
+                x = _random_outer(rng, pool, 4)
+                y = _random_outer(rng, pool, 3)
+                f = (
+                    OOr(x, ONot(x)),
+                    outer_implies(OAnd(x, outer_implies(x, y)), y),
+                    outer_implies(x, outer_implies(y, OAnd(x, y))),
+                )[i % 3]
+            expected, atom_count = _truth_table(f)
+            assert match_tautology(f) == expected, render(f)
+            assert expected or i < 2000, render(f)
+            if expected:
+                random_valid += i < 2000
+                b = ProofBuilder(())
+                b.taut(f)
+                assert b.lines[-1].just == Taut(atom_count)
+        # both verdicts occur among the random formulas
+        assert 50 <= random_valid <= 1950
 
 
 class TestCheckProof:

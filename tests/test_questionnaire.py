@@ -175,3 +175,23 @@ class TestScoring:
             which = rng.choice(SPEC.item_ids)
             bumped[which] = raw[which] + 1
             assert score_mean(sheet(bumped), SPEC) > score_mean(sheet(raw), SPEC)
+
+
+class TestLargeQuestionnaires:
+    """Sheets past the old 16-atom truth-table limit score by all routes."""
+
+    @pytest.mark.parametrize("n", [16, 21, 50])
+    def test_all_routes_agree(self, n):
+        spec = QuestionnaireSpec(
+            name=f"{n} items",
+            items=tuple((f"m{i}", "prompt") for i in range(n)),
+            scale_steps=4,
+            disorder="dep",
+        )
+        rng = random.Random(f"large:{n}")
+        raw = {i: rng.randint(0, 4) for i in spec.item_ids}
+        report = cross_check(sheet_from_raw(spec, "r1", raw), spec)
+        expected = F(sum(raw.values()), 4 * n)
+        assert report.score_mean == report.score_q == report.score_lgim == expected
+        assert report.agreement
+        assert check_proof(report.proof.theory, report.proof).accepted
