@@ -93,7 +93,10 @@ def _cmd_eval(args) -> int:
         _emit(args, {"kind": "basic", "value": str(value)}, str(value))
         return 0
     f = parse_formula(args.formula)
-    satisfied = satisfies_formula(v, f)
+    try:
+        satisfied = satisfies_formula(v, f)
+    except TypeError as exc:  # a graded-variable atom: bad input, not a verdict
+        raise ValueError(str(exc)) from None
     _emit(
         args,
         {"kind": "formula", "satisfied": satisfied},
@@ -106,7 +109,10 @@ def _cmd_entail(args) -> int:
     theory = parse_theory(_read(args.theory))
     formula = parse_formula(args.formula)
     m = args.grid_denominator
-    counter = find_countermodel(theory, formula, m, args.tnorm)
+    try:
+        counter = find_countermodel(theory, formula, m, args.tnorm)
+    except TypeError as exc:  # a graded-variable atom: bad input, not a verdict
+        raise ValueError(str(exc)) from None
     if counter is None:
         _emit(
             args,

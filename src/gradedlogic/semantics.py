@@ -9,6 +9,18 @@ Entailment is approximated by exhaustive countermodel search over the
 finite grid {0, 1/m, ..., 1}: a found countermodel genuinely refutes, while
 "no countermodel with denominator m" is deliberately weaker than full
 entailment and is reported as exactly that.
+
+The grid is searched on integers.  ``find_countermodel`` compiles the
+theory and the formula once into closures over a grid point ``p``, a tuple
+of ints in 0..m.  Every basic node has a static scale ``S`` fixed by its
+syntax (m for a variable, 1 for ``top``/``bot``, the lcm of its children's
+scales for min, max and the Lukasiewicz and min t-norms, their product for
+the product t-norm) and yields an int ``x`` whose degree is ``x / S``.  The
+mean test of each implication is multiplied out to one integer comparison,
+so all three t-norms stay exact on the one path, and an ``Evaluation`` is
+built only for the countermodel returned.  ``Evaluation`` with
+``eval_basic`` and ``satisfies_*`` over ``Fraction`` stays the single-point
+path (the ``eval`` command) and the oracle the search is tested against.
 """
 
 from __future__ import annotations
@@ -16,7 +28,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from math import lcm
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import ResourceLimitError, UnboundVariableError
 from .grades import Grade, TNormKind, as_grade, luk_tnorm, mean, negate, tnorm
@@ -40,6 +53,11 @@ from .syntax import (
 
 DEFAULT_SEARCH_BUDGET = 1_000_000
 
+_NO_DEGREE_SEMANTICS = (
+    "graded-variable atoms have no degree semantics here; "
+    "use the prototype-distance module"
+)
+
 
 @dataclass(frozen=True)
 class Evaluation:
@@ -52,6 +70,7 @@ class Evaluation:
         object.__setattr__(
             self, "values", {name: as_grade(v) for name, v in self.values.items()}
         )
+        object.__setattr__(self, "kind", TNormKind(self.kind))
 
     def __getitem__(self, name: str) -> Grade:
         try:
@@ -98,10 +117,7 @@ def satisfies_gi_luk_form(v: Evaluation, g: GradedImplication) -> bool:
 def satisfies_formula(v: Evaluation, f: OuterFormula) -> bool:
     if isinstance(f, Atom):
         if not isinstance(f.content, GradedImplication):
-            raise TypeError(
-                "graded-variable atoms have no degree semantics here; "
-                "use the prototype-distance module"
-            )
+            raise TypeError(_NO_DEGREE_SEMANTICS)
         return satisfies_gi(v, f.content)
     if isinstance(f, ONot):
         return not satisfies_formula(v, f.operand)
@@ -114,6 +130,87 @@ def satisfies_formula(v: Evaluation, f: OuterFormula) -> bool:
 
 def satisfies_theory(v: Evaluation, theory: Iterable[OuterFormula]) -> bool:
     return all(satisfies_formula(v, t) for t in theory)
+
+
+# ---------------------------------------------------------------------------
+# Grid search on integers
+# ---------------------------------------------------------------------------
+
+
+def _grid_compiler(names: Sequence[str], m: int, kind: TNormKind):
+    """A function compiling outer formulas over ``names`` to checks on the
+    grid with denominator ``m`` under ``kind``.  A check takes a grid point,
+    one int in 0..m per name, and says whether the formula holds there."""
+    index = {name: i for i, name in enumerate(names)}
+
+    def basic(e: BasicExpr):
+        """``(fn, scale)``: the degree of ``e`` at ``p`` is ``fn(p) / scale``."""
+        if isinstance(e, Var):
+            i = index[e.name]
+            return (lambda p: p[i]), m
+        if isinstance(e, Top):
+            return (lambda p: 1), 1
+        if isinstance(e, Bottom):
+            return (lambda p: 0), 1
+        if isinstance(e, Neg):
+            f, s = basic(e.expr)
+            return (lambda p: s - f(p)), s
+        if not isinstance(e, (And, Or, Strong)):
+            raise TypeError(f"not a basic expression: {e!r}")
+        fl, sl = basic(e.left)
+        fr, sr = basic(e.right)
+        strong = isinstance(e, Strong)
+        if strong and kind is TNormKind.PRODUCT:
+            return (lambda p: fl(p) * fr(p)), sl * sr
+        s = lcm(sl, sr)
+        a, b = s // sl, s // sr
+        if isinstance(e, Or):
+            def fn(p):
+                x, y = a * fl(p), b * fr(p)
+                return x if x > y else y
+        elif strong and kind is TNormKind.LUKASIEWICZ:
+            def fn(p):
+                x = a * fl(p) + b * fr(p) - s
+                return x if x > 0 else 0
+        else:
+            def fn(p):
+                x, y = a * fl(p), b * fr(p)
+                return x if x < y else y
+        return fn, s
+
+    def implication(g: GradedImplication) -> Callable[[tuple], bool]:
+        # mean(x_i / s_i) <= x_c / s_c + 1 - u / v, times n * lcm of all
+        # denominators, is one comparison of ints.
+        ants = [basic(a) for a in g.antecedents]
+        fc, sc = basic(g.consequent)
+        n = len(ants)
+        u, v = g.grade.numerator, g.grade.denominator
+        scale = lcm(sc, v, *(s for _, s in ants))
+        kc = n * (scale // sc)
+        slack = n * (scale - u * (scale // v))
+        if n == 1:
+            ((fa, sa),) = ants
+            ka = scale // sa
+            return lambda p: ka * fa(p) <= kc * fc(p) + slack
+        terms = [(scale // s, f) for f, s in ants]
+        return lambda p: sum(k * f(p) for k, f in terms) <= kc * fc(p) + slack
+
+    def formula(f: OuterFormula) -> Callable[[tuple], bool]:
+        if isinstance(f, Atom):
+            if not isinstance(f.content, GradedImplication):
+                raise TypeError(_NO_DEGREE_SEMANTICS)
+            return implication(f.content)
+        if isinstance(f, ONot):
+            operand = formula(f.operand)
+            return lambda p: not operand(p)
+        if not isinstance(f, (OAnd, OOr)):
+            raise TypeError(f"not an outer formula: {f!r}")
+        left, right = formula(f.left), formula(f.right)
+        if isinstance(f, OAnd):
+            return lambda p: left(p) and right(p)
+        return lambda p: left(p) or right(p)
+
+    return formula
 
 
 def find_countermodel(
@@ -129,8 +226,10 @@ def find_countermodel(
     Variables are enumerated in sorted-name order with ascending degrees, so
     the first (and returned) hit is the lexicographically smallest
     countermodel.  Raises ResourceLimitError when the grid has more than
-    ``max_points`` evaluations rather than searching a truncated grid.
+    ``max_points`` evaluations rather than searching a truncated grid, and
+    TypeError for a graded-variable atom before any point is visited.
     """
+    kind = TNormKind(kind)
     if denominator < 1:
         raise ValueError("grid denominator must be at least 1")
     names: set = set(vars_of_formula(formula))
@@ -142,12 +241,23 @@ def find_countermodel(
         raise ResourceLimitError(
             f"grid of {points} evaluations exceeds the budget of {max_points}"
         )
-    steps = [Fraction(i, denominator) for i in range(denominator + 1)]
-    for combo in itertools.product(steps, repeat=len(ordered)):
-        v = Evaluation(dict(zip(ordered, combo)), kind)
-        if satisfies_theory(v, theory) and not satisfies_formula(v, formula):
-            return v
-    return None
+    compile_formula = _grid_compiler(ordered, denominator, kind)
+    members = [compile_formula(t) for t in theory]
+    goal = compile_formula(formula)
+
+    def hit(p: tuple) -> bool:
+        for member in members:
+            if not member(p):
+                return False
+        return not goal(p)
+
+    grid = itertools.product(range(denominator + 1), repeat=len(ordered))
+    point = next(filter(hit, grid), None)
+    if point is None:
+        return None
+    return Evaluation(
+        {name: Fraction(i, denominator) for name, i in zip(ordered, point)}, kind
+    )
 
 
 def entails_on_grid(

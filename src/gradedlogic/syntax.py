@@ -353,6 +353,15 @@ def _tokenize(text: str) -> list:
 # ---------------------------------------------------------------------------
 
 
+MAX_NESTING = 200
+"""The deepest nesting of brackets, ``~`` and ``!`` that parsing accepts.
+
+Parsing, rendering, hashing and every evaluator recurse once or a few times
+per level; this cap keeps all of them under Python's default recursion
+limit of 1000 frames.
+"""
+
+
 class _Backtrack(Exception):
     """Internal: an alternative failed; the farthest failure is kept."""
 
@@ -361,6 +370,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.best_pos = -1
         self.best_msg = "expected input"
 
@@ -387,6 +397,12 @@ class _Parser:
         if tok.kind != kind:
             self._fail(f"expected {what}", tok.pos)
         return self._advance()
+
+    def _descend(self, tok: _Token) -> None:
+        """One nesting level deeper, at ``tok``; callers step back up."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.pos)
 
     def _error(self) -> ParseError:
         return ParseError(self.best_msg, max(self.best_pos, 0))
@@ -416,11 +432,16 @@ class _Parser:
             return Bottom()
         if tok.kind == "~":
             self._advance()
-            return Neg(self.unary())
+            self._descend(tok)
+            node = Neg(self.unary())
+            self.depth -= 1
+            return node
         if tok.kind == "(":
             self._advance()
+            self._descend(tok)
             inner = self.basic()
             self._expect(")", "')'")
+            self.depth -= 1
             return inner
         self._fail("expected a basic expression", tok.pos)
 
@@ -457,17 +478,19 @@ class _Parser:
         return Atom(GradedImplication(tuple(antecedents), consequent, g))
 
     def q_atom(self) -> Atom:
-        self._expect("(", "'('")
+        self._descend(self._expect("(", "'('"))
         name = self._expect("IDENT", "a variable")
         self._expect(",", "','")
         g = self.grade()
         self._expect(")", "')'")
+        self.depth -= 1
         return Atom(GradedVariable(name.text, g))
 
     def paren_formula(self) -> OuterFormula:
-        self._expect("(", "'('")
+        self._descend(self._expect("(", "'('"))
         inner = self.formula()
         self._expect(")", "')'")
+        self.depth -= 1
         return inner
 
     # -- formulas ---------------------------------------------------------------
@@ -476,14 +499,17 @@ class _Parser:
         tok = self._peek()
         if tok.kind == "!":
             self._advance()
-            return ONot(self.term())
-        start = self.pos
+            self._descend(tok)
+            node = ONot(self.term())
+            self.depth -= 1
+            return node
+        start, depth = self.pos, self.depth
         attempt: Callable
         for attempt in (self.gi_atom, self.q_atom, self.paren_formula):
             try:
                 return attempt()
             except _Backtrack:
-                self.pos = start
+                self.pos, self.depth = start, depth
         self._fail("expected a formula", tok.pos)
 
     def formula(self) -> OuterFormula:

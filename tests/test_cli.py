@@ -17,6 +17,7 @@ from gradedlogic import (
     score_theory,
 )
 from gradedlogic.cli import main
+from gradedlogic.syntax import MAX_NESTING
 
 DEMO_SPEC = {
     "name": "toy",
@@ -121,6 +122,14 @@ class TestEvalCommand:
             main(["eval", "--expr", "p", "--formula", "p ->[1] p"])
         assert exc.value.code == 2
 
+    def test_graded_variable_atom_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "eval", "--formula", "(x, 1)", "--assign", "x=1",
+        )
+        assert code == 2
+        assert not out
+        assert err.startswith("error: graded-variable atoms")
+
 
 class TestEntailCommand:
     @pytest.fixture
@@ -171,6 +180,17 @@ class TestEntailCommand:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_graded_variable_atom_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "graded.lgi"
+        path.write_text("top ->[1] bot\n(x, 1)\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "entail", "--theory", str(path),
+            "--formula", "p ->[1] p", "--grid-denominator", "2",
+        )
+        assert code == 2
+        assert not out
+        assert err.startswith("error: graded-variable atoms")
+
     def test_bad_theory_reports_line(self, capsys, tmp_path):
         path = tmp_path / "broken.lgi"
         path.write_text("p ->[1] q\np1 &\n", encoding="utf-8")
@@ -180,6 +200,70 @@ class TestEntailCommand:
         )
         assert code == 2
         assert "syntax error" in err
+
+
+def _valid_at_depth(shape: str, depth: int) -> str:
+    """A formula true under every evaluation, nested exactly ``depth`` deep."""
+    if shape == "neg":
+        e = "~" * depth + "p"
+        return f"{e} ->[1] {e}"
+    if shape == "basic_parens":
+        e = "(p & " * depth + "q" + ")" * depth
+        return f"{e} ->[1] {e}"
+    if shape == "not":
+        atom = "(p ->[1] p)" if depth % 2 else "(top ->[1] bot)"
+        return "!" * (depth - 1) + atom
+    return "(p ->[1] p /\\ " * depth + "q ->[1] q" + ")" * depth
+
+
+class TestNestingLimit:
+    SHAPES = ("neg", "basic_parens", "not", "formula_parens")
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_deepest_accepted_input_through_every_command(self, shape, capsys,
+                                                          tmp_path):
+        text = _valid_at_depth(shape, MAX_NESTING)
+        code, out, _ = run(capsys, "parse", text)
+        assert code == 0 and out.strip() == render(parse_theory(text)[0])
+        code, out, _ = run(
+            capsys, "eval", "--formula", text, "--assign", "p=1/3",
+            "--assign", "q=1",
+        )
+        assert code == 0 and out.strip() == "true"
+        path = tmp_path / "deep.lgi"
+        path.write_text(text + "\n", encoding="utf-8")
+        code, out, _ = run(
+            capsys, "entail", "--theory", str(path), "--formula", text,
+            "--grid-denominator", "3",
+        )
+        assert code == 0 and out.strip() == "no countermodel with denominator 3"
+
+    @pytest.mark.parametrize("argv", [
+        ("parse", "--basic", "~" * 5000 + "p"),
+        ("parse", "--basic", "(" * 5000 + "p" + ")" * 5000),
+        ("parse", "!" * 5000 + "(p ->[1] p)"),
+        ("parse", "(" * 5000 + "p ->[1] p" + ")" * 5000),
+        ("eval", "--formula", "~" * 5000 + "p ->[1] p", "--assign", "p=1"),
+        ("parse", _valid_at_depth("formula_parens", MAX_NESTING + 1)),
+    ], ids=["basic_neg", "basic_parens", "not", "formula_parens", "eval",
+            "one_deeper"])
+    def test_too_deep_is_usage_error(self, argv, capsys):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert not out
+        assert f"nesting deeper than {MAX_NESTING} levels" in err
+
+    def test_too_deep_theory_line(self, capsys, tmp_path):
+        path = tmp_path / "deep.lgi"
+        path.write_text("p ->[1] p\n" + "(" * 5000 + "p ->[1] p" + ")" * 5000,
+                        encoding="utf-8")
+        code, out, err = run(
+            capsys, "entail", "--theory", str(path), "--formula", "p ->[1] p",
+            "--grid-denominator", "2",
+        )
+        assert code == 2
+        assert not out
+        assert "line 2" in err and "nesting deeper" in err
 
 
 class TestCheckProofCommand:

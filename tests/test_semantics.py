@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -66,6 +67,23 @@ class TestEvaluation:
             Evaluation({"p": 0.5})
         with pytest.raises(ValueError):
             Evaluation({"p": Fraction(5, 4)})
+
+    def test_tnorm_given_by_name(self):
+        half = {"p": Fraction(1, 2), "q": Fraction(1, 2)}
+        e = Strong(Var("p"), Var("q"))
+        for name, kind, expected in (
+            ("product", PROD, Fraction(1, 4)),
+            ("lukasiewicz", LUK, Fraction(0)),
+            ("min", MIN, Fraction(1, 2)),
+        ):
+            ev = Evaluation(half, name)
+            assert ev.kind is kind
+            assert eval_basic(ev, e) == expected
+
+    def test_unknown_tnorm_rejected(self):
+        for bad in ("fancy", "PRODUCT", None):
+            with pytest.raises(ValueError):
+                Evaluation({"p": 1}, bad)
 
 
 class TestEvalBasic:
@@ -233,22 +251,13 @@ class TestCountermodelSearch:
                 gi(rand_basic(rng, pool, 1), rand_basic(rng, pool, 1),
                    rand_grade(rng, 4))
             )
-            names = sorted(
-                set().union(*(vars_of_formula(f) for f in theory + (goal,)))
-            )
-            grid = [Fraction(i, 3) for i in range(4)]
-            oracle = None
-            for point in itertools.product(grid, repeat=len(names)):
-                ev = Evaluation(dict(zip(names, point)))
-                if satisfies_theory(ev, theory) and not satisfies_formula(ev, goal):
-                    oracle = point
-                    break
+            oracle = _oracle_countermodel(theory, goal, 3, LUK)
             got = find_countermodel(theory, goal, 3)
             if oracle is None:
                 assert got is None
             else:
                 assert got is not None
-                assert tuple(got[n] for n in names) == oracle
+                assert got.values == oracle
 
     def test_budget_limit(self):
         names = tuple(f"x{i}" for i in range(8))
@@ -266,6 +275,118 @@ class TestCountermodelSearch:
         prod = find_countermodel((), goal, 2, PROD)
         assert luk is not None and luk["p"] == 1
         assert prod is not None and prod["p"] == Fraction(1, 2)
+
+    def test_tnorm_given_by_name(self):
+        goal = Atom(gi(Strong(Var("p"), Var("p")), Bottom(), 1))
+        for name, kind, first in (
+            ("lukasiewicz", LUK, 1), ("product", PROD, Fraction(1, 2)),
+            ("min", MIN, Fraction(1, 2)),
+        ):
+            counter = find_countermodel((), goal, 2, name)
+            assert counter is not None and counter.kind is kind
+            assert counter["p"] == first
+        with pytest.raises(ValueError):
+            find_countermodel((), goal, 2, "fancy")
+
+    def test_graded_variable_atom_rejected_before_the_sweep(self):
+        # The first member fails everywhere, so a point-by-point sweep would
+        # never reach the graded-variable atom and would report no
+        # countermodel.
+        theory = (
+            Atom(gi(Top(), Bottom(), 1)),
+            Atom(GradedVariable("x", Fraction(1, 2))),
+        )
+        with pytest.raises(TypeError):
+            find_countermodel(theory, Atom(gi(Var("p"), Var("p"), 1)), 2)
+        with pytest.raises(TypeError):
+            find_countermodel((), Atom(GradedVariable("x", 1)), 2)
+
+
+def _oracle_countermodel(theory, goal, m, kind):
+    """The first countermodel of a brute-force sweep over Evaluations."""
+    names = sorted(set().union(*(vars_of_formula(f) for f in theory + (goal,))))
+    grid = [Fraction(i, m) for i in range(m + 1)]
+    for point in itertools.product(grid, repeat=len(names)):
+        ev = Evaluation(dict(zip(names, point)), kind)
+        if satisfies_theory(ev, theory) and not satisfies_formula(ev, goal):
+            return dict(zip(names, point))
+    return None
+
+
+def _coprime_grade(rng, m):
+    den = rng.choice([d for d in range(2, 14) if math.gcd(d, m) == 1])
+    return Fraction(rng.randint(0, den), den)
+
+
+def _product_chain(rng, names, factors):
+    """Nested strong conjunctions of ``factors`` leaves, some negated."""
+    if factors == 1:
+        leaf = rng.choice((Var(rng.choice(names)), Top(), Bottom()))
+        return Neg(leaf) if rng.random() < 0.3 else leaf
+    left = rng.randint(1, factors - 1)
+    node = Strong(_product_chain(rng, names, left),
+                  _product_chain(rng, names, factors - left))
+    return Neg(node) if rng.random() < 0.2 else node
+
+
+def _search_case(rng):
+    names = ("p", "q", "r")[: rng.randint(1, 3)]
+    m = rng.randint(1, 5)
+
+    def expr():
+        if rng.random() < 0.3:
+            return _product_chain(rng, names, rng.randint(2, 4))
+        return rand_basic(rng, names, rng.randint(0, 2))
+
+    def grade():
+        return _coprime_grade(rng, m) if rng.random() < 0.6 else rand_grade(rng, 8)
+
+    def atom():
+        ants = tuple(expr() for _ in range(rng.randint(1, 3)))
+        return Atom(GradedImplication(ants, expr(), grade()))
+
+    def formula(depth):
+        roll = rng.random()
+        if depth == 0 or roll < 0.4:
+            return atom()
+        if roll < 0.6:
+            return ONot(formula(depth - 1))
+        cls = OAnd if roll < 0.8 else OOr
+        return cls(formula(depth - 1), formula(depth - 1))
+
+    theory = tuple(formula(1) for _ in range(rng.randint(0, 2)))
+    roll = rng.random()
+    if theory and roll < 0.3:
+        # A theory member or a disjunction with one: no countermodel.
+        goal = rng.choice(theory)
+        if roll < 0.15:
+            goal = OOr(formula(1), goal)
+    else:
+        goal = formula(2)
+    return theory, goal, m
+
+
+class TestCompiledSearchDifferential:
+    """The integer-grid search against a sweep of Fraction Evaluations."""
+
+    @pytest.mark.parametrize("kind", [LUK, PROD, MIN])
+    def test_same_countermodel_as_fraction_sweep(self, kind):
+        rng = random.Random(f"grid-search:{kind.value}")
+        found = clean = 0
+        for _ in range(150):
+            theory, goal, m = _search_case(rng)
+            expected = _oracle_countermodel(theory, goal, m, kind)
+            got = find_countermodel(theory, goal, m, kind)
+            if expected is None:
+                clean += 1
+                assert got is None, (theory, goal, m)
+            else:
+                found += 1
+                assert got is not None, (theory, goal, m)
+                assert got.kind is kind
+                assert got.values == expected, (theory, goal, m)
+                assert all(type(v) is Fraction for v in got.values.values())
+        assert found >= 30 and clean >= 30, (found, clean)
 
 
 class TestMeanHelper:

@@ -15,6 +15,7 @@ from gradedlogic import (
     And,
     Atom,
     Bottom,
+    Evaluation,
     GradedImplication,
     GradedVariable,
     Neg,
@@ -26,15 +27,18 @@ from gradedlogic import (
     Strong,
     Top,
     Var,
+    find_countermodel,
     gi,
     outer_implies,
     parse_basic,
     parse_formula,
     parse_theory,
     render,
+    satisfies_formula,
     vars_of_basic,
     vars_of_formula,
 )
+from gradedlogic.syntax import MAX_NESTING
 
 from fuzz import rand_basic, rand_formula
 
@@ -221,3 +225,68 @@ class TestRoundTrip:
             f = rand_formula(rng, depth=3, mode="gi")
             text = render(f)
             assert render(parse_formula(text)) == text
+
+
+def _nested(shape: str, depth: int) -> str:
+    """A formula whose deepest point sits under ``depth`` nesting levels."""
+    if shape == "neg":
+        return "~" * depth + "p ->[1] p"
+    if shape == "basic_parens":
+        return "(p & " * depth + "q" + ")" * depth + " ->[1] p"
+    if shape == "not":
+        return "!" * (depth - 1) + "(p ->[1] p)"
+    if shape == "formula_parens":
+        return "(p ->[1] p /\\ " * depth + "q ->[1] q" + ")" * depth
+    raise ValueError(shape)
+
+
+SHAPES = ("neg", "basic_parens", "not", "formula_parens")
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_deepest_accepted_nesting(self, shape):
+        f = parse_formula(_nested(shape, MAX_NESTING))
+        assert parse_formula(render(f)) == f
+        hash(f)
+        satisfies_formula(Evaluation({"p": 1, "q": 0}), f)
+        find_countermodel((f,), f, 2)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_one_level_deeper_is_a_parse_error(self, shape):
+        with pytest.raises(ParseError) as exc:
+            parse_formula(_nested(shape, MAX_NESTING + 1))
+        assert f"nesting deeper than {MAX_NESTING} levels" in str(exc.value)
+
+    @pytest.mark.parametrize("text", [
+        "~" * 5000 + "p",
+        "(" * 5000 + "p" + ")" * 5000,
+        "(p & " * 5000 + "q" + ")" * 5000,
+    ], ids=["neg", "parens", "chain"])
+    def test_very_deep_basic_expression(self, text):
+        with pytest.raises(ParseError):
+            parse_basic(text)
+
+    @pytest.mark.parametrize("text", [
+        "!" * 5000 + "(p ->[1] p)",
+        "(" * 5000 + "p ->[1] p" + ")" * 5000,
+        "(" * 5000 + "x, 1" + ")" * 5000,
+    ], ids=["not", "implication", "graded_variable"])
+    def test_very_deep_formula(self, text):
+        with pytest.raises(ParseError):
+            parse_formula(text)
+
+    def test_depth_is_restored_after_backtracking_and_siblings(self):
+        # Each conjunct, and the graded-variable atom that the parser only
+        # reaches after a failed implication attempt, sits just under the
+        # limit on its own.
+        deep = "~" * (MAX_NESTING - 1) + "p"
+        f = parse_formula(f"({deep} ->[1] {deep} /\\ {deep} ->[1] {deep})")
+        assert isinstance(f, OAnd)
+        wrapped = "(" * (MAX_NESTING - 1) + "(x, 1)" + ")" * (MAX_NESTING - 1)
+        assert parse_formula(wrapped) == Atom(GradedVariable("x", 1))
+
+    def test_theory_line_too_deep(self):
+        with pytest.raises(ParseError) as exc:
+            parse_theory("p ->[1] q\n" + "~" * 5000 + "p ->[1] q\n")
+        assert exc.value.line == 2
