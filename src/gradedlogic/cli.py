@@ -152,6 +152,9 @@ def _degree_rows(ev, k):
 
 
 def _cmd_qcheck(args) -> int:
+    for flag, value in (("--dim", args.dim), ("--grid", args.grid)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
     theory = parse_theory(_read(args.theory))
     ev = check_theory_correct_canonical(theory, args.dim, args.grid)
     if ev is None:

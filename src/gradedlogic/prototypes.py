@@ -15,14 +15,21 @@ an atom is the set of worlds where the variable's degree is exactly the
 stated grade, and the classical connectives act as set operations.  A
 formula is satisfied when its region covers every world; the checker
 verifies this on finite grids.
+
+Arithmetic runs on integers: worlds and points are scaled by the lcm L of
+their denominators, and a distance or degree becomes one Fraction at the
+end.  A formula is compiled once into a test of scaled worlds, so the grid
+check builds no Fraction per world and refuses unbound variables up front.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from math import lcm
+from operator import sub
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ResourceLimitError, UnboundVariableError
 from .grades import ONE, ZERO, Grade, as_grade
@@ -47,16 +54,16 @@ def world(values: Iterable) -> World:
 
 
 def l1_distance(w: World, u: World) -> Fraction:
-    if len(w) != len(u):
-        raise ValueError("worlds of different dimension")
-    return sum((abs(a - b) for a, b in zip(w, u)), start=ZERO)
+    return set_distance(w, FiniteSet((u,)))
 
 
 @dataclass(frozen=True)
 class FiniteSet:
-    """Finitely many explicit points; closed, nonempty by construction."""
+    """Finitely many explicit points; closed, nonempty by construction.
+    ``denominator`` is the lcm of the coordinates' denominators."""
 
     points: tuple
+    denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = tuple(world(p) for p in self.points)
@@ -65,6 +72,7 @@ class FiniteSet:
         if len({len(p) for p in pts}) != 1:
             raise ValueError("points of mixed dimension")
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "denominator", lcm(*(c.denominator for p in pts for c in p)))
 
 
 @dataclass(frozen=True)
@@ -73,6 +81,7 @@ class Face:
 
     index: int
     value: Grade
+    denominator = 1  # of its fixed coordinate, 0 or 1
 
     def __post_init__(self):
         object.__setattr__(self, "value", as_grade(self.value))
@@ -85,16 +94,32 @@ class Face:
 PointSet = Union[FiniteSet, Face]
 
 
+def _ints(w, scale: int) -> tuple:
+    """``scale * w`` as ints; ``scale`` must clear every denominator of ``w``."""
+    return tuple(c.numerator * (scale // c.denominator) for c in w)
+
+
+def _scaled_distance(s: PointSet, scale: int) -> Callable[[tuple], int]:
+    """The function taking ``_ints(w, scale)`` to ``scale * set_distance(w, s)``,
+    for ``scale`` a multiple of ``s.denominator``; points are scaled once."""
+    if isinstance(s, Face):
+        i, v = s.index, s.value.numerator * scale
+        return lambda x: abs(x[i] - v)
+    points = [_ints(p, scale) for p in s.points]
+    return lambda x: min(sum(map(abs, map(sub, x, p))) for p in points)
+
+
 def set_distance(w: World, s: PointSet) -> Fraction:
     """L1 distance from a world to a set; for closed sets this is a minimum,
     so it is 0 exactly on members."""
-    if isinstance(s, FiniteSet):
-        return min(l1_distance(w, p) for p in s.points)
-    if isinstance(s, Face):
-        if s.index >= len(w):
-            raise ValueError("face index outside world dimension")
-        return abs(w[s.index] - s.value)
-    raise TypeError(f"not a point set: {s!r}")
+    if not isinstance(s, (FiniteSet, Face)):
+        raise TypeError(f"not a point set: {s!r}")
+    if isinstance(s, Face) and s.index >= len(w):
+        raise ValueError("face index outside world dimension")
+    if isinstance(s, FiniteSet) and len(s.points[0]) != len(w):
+        raise ValueError("worlds of different dimension")
+    scale = lcm(s.denominator, *(c.denominator for c in w))
+    return Fraction(_scaled_distance(s, scale)(_ints(w, scale)), scale)
 
 
 def contains(s: PointSet, w: World) -> bool:
@@ -156,19 +181,24 @@ class QEvaluation:
                 if isinstance(s, FiniteSet) and len(s.points[0]) != n:
                     raise ValueError(f"{name}: points of dimension != {n}")
         object.__setattr__(self, "dependent", dict(self.dependent))
+        readouts = {v: PCPair(Face(i, ONE), Face(i, ZERO)) for i, v in enumerate(self.basic)}
+        object.__setattr__(self, "_readouts", readouts)
 
     @property
     def dimension(self) -> int:
         return len(self.basic)
 
     def pair(self, var: str) -> PCPair:
-        if var in self.basic:
-            i = self.basic.index(var)
-            return PCPair(Face(i, ONE), Face(i, ZERO))
-        try:
-            return self.dependent[var]
-        except KeyError:
-            raise UnboundVariableError(var) from None
+        found = self._readouts.get(var) or self.dependent.get(var)
+        if found is None:
+            raise UnboundVariableError(var)
+        return found
+
+
+def _scale(ev: QEvaluation, *denominators: int) -> int:
+    """The lcm of ``denominators`` and of every denominator of ``ev``'s sets."""
+    sets = (s for p in ev.dependent.values() for s in (p.protos, p.counters))
+    return lcm(*denominators, *(s.denominator for s in sets))
 
 
 def degree(ev: QEvaluation, var: str, w: World) -> Grade:
@@ -176,27 +206,42 @@ def degree(ev: QEvaluation, var: str, w: World) -> Grade:
     if len(w) != ev.dimension:
         raise ValueError("world dimension does not match the evaluation")
     pair = ev.pair(var)
-    to_protos = set_distance(w, pair.protos)
-    to_counters = set_distance(w, pair.counters)
-    return to_counters / (to_protos + to_counters)
+    scale = _scale(ev, *(c.denominator for c in w))
+    x = _ints(w, scale)
+    to_counters = _scaled_distance(pair.counters, scale)(x)
+    return Fraction(to_counters, _scaled_distance(pair.protos, scale)(x) + to_counters)
+
+
+def _region(ev: QEvaluation, f: OuterFormula, scale: int) -> Callable[[tuple], bool]:
+    """Compile ``f`` to a membership test of worlds given as ``_ints(w, scale)``,
+    for ``scale`` from ``_scale``.  Unbound variables and graded-implication
+    atoms raise here, before any world is visited."""
+    if isinstance(f, Atom):
+        if not isinstance(f.content, GradedVariable):
+            raise TypeError("graded-implication atoms have no region semantics")
+        pair = ev.pair(f.content.var)
+        to_protos = _scaled_distance(pair.protos, scale)
+        to_counters = _scaled_distance(pair.counters, scale)
+        u, v = f.content.grade.numerator, f.content.grade.denominator
+        # the degree dc / (dp + dc) equals the grade u / v
+        return lambda x: (dc := to_counters(x)) * v == u * (to_protos(x) + dc)
+    if isinstance(f, ONot):
+        operand = _region(ev, f.operand, scale)
+        return lambda x: not operand(x)
+    if not isinstance(f, (OAnd, OOr)):
+        raise TypeError(f"not an outer formula: {f!r}")
+    left, right = _region(ev, f.left, scale), _region(ev, f.right, scale)
+    if isinstance(f, OAnd):
+        return lambda x: left(x) and right(x)
+    return lambda x: left(x) or right(x)
 
 
 def in_region(ev: QEvaluation, f: OuterFormula, w: World) -> bool:
     """Membership of ``w`` in the region denoted by ``f``."""
-    if isinstance(f, Atom):
-        if not isinstance(f.content, GradedVariable):
-            raise TypeError(
-                "graded-implication atoms have no region semantics; "
-                "use the degree semantics module"
-            )
-        return degree(ev, f.content.var, w) == f.content.grade
-    if isinstance(f, ONot):
-        return not in_region(ev, f.operand, w)
-    if isinstance(f, OAnd):
-        return in_region(ev, f.left, w) and in_region(ev, f.right, w)
-    if isinstance(f, OOr):
-        return in_region(ev, f.left, w) or in_region(ev, f.right, w)
-    raise TypeError(f"not an outer formula: {f!r}")
+    if len(w) != ev.dimension:
+        raise ValueError("world dimension does not match the evaluation")
+    scale = _scale(ev, *(c.denominator for c in w))
+    return _region(ev, f, scale)(_ints(w, scale))
 
 
 def grid_worlds(n: int, k: int) -> Iterable[World]:
@@ -220,7 +265,9 @@ def satisfied_on_grid(
         raise ResourceLimitError(
             f"grid of {points} worlds exceeds the budget of {max_points}"
         )
-    return all(in_region(ev, f, w) for w in grid_worlds(n, k))
+    scale = _scale(ev, k)
+    grid = itertools.product(range(0, scale + 1, scale // k), repeat=n)  # grid_worlds * scale
+    return all(map(_region(ev, f, scale), grid))
 
 
 def canonical_disorder_eval(

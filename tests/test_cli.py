@@ -426,6 +426,31 @@ class TestQcheckCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "dim, grid, flag",
+        [("0", "2", "--dim"), ("-1", "2", "--dim"), ("2", "0", "--grid"),
+         ("2", "-3", "--grid")],
+    )
+    def test_nonpositive_sizes_are_usage_errors(self, theory_file, capsys, dim,
+                                                grid, flag):
+        # a bad size is an input error, not the negative verdict of exit 1
+        code, out, err = run(
+            capsys, "qcheck", "--theory", theory_file, "--dim", dim, "--grid", grid
+        )
+        assert code == 2
+        assert not out
+        assert f"{flag} must be at least 1" in err
+
+    def test_grid_checked_before_recognition(self, capsys, tmp_path):
+        path = tmp_path / "other.lgi"
+        path.write_text("((d, 1) /\\ (p1, 1))\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "qcheck", "--theory", str(path), "--dim", "1", "--grid", "0"
+        )
+        assert code == 2
+        assert not out
+        assert "--grid must be at least 1" in err
+
 
 class TestScoreCommand:
     @pytest.fixture

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -233,6 +234,19 @@ class TestRegions:
         with pytest.raises(TypeError):
             in_region(ev, Atom(gi(Var("x"), Var("x"), 1)), world([0]))
 
+    def test_unbound_variable_raises_before_any_world(self):
+        # short-circuiting never reaches the last disjunct, which must still
+        # be refused while the formula is compiled
+        ev = QEvaluation(("x",), {})
+        unbound = OOr(OOr(qv("x", 1), ONot(qv("x", 1))), qv("z", 1))
+        with pytest.raises(UnboundVariableError):
+            satisfied_on_grid(ev, unbound, 4)
+        with pytest.raises(UnboundVariableError):
+            in_region(ev, unbound, world([1]))
+        implication = Atom(gi(Var("x"), Var("x"), 1))
+        with pytest.raises(TypeError):
+            satisfied_on_grid(ev, OOr(implication, ONot(implication)), 4)
+
     def test_grid_worlds_enumeration(self):
         pts = list(grid_worlds(2, 3))
         assert len(pts) == 16
@@ -363,3 +377,126 @@ class TestTheoryRecognition:
         assert ev is not None
         for f in theory:
             assert satisfied_on_grid(ev, f, 8)
+
+
+# ---------------------------------------------------------------------------
+# Differential check of the integer lattice against plain Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+
+def _oracle_distance(w, s) -> Fraction:
+    """The L1 distance from ``w`` to ``s``, in Fractions, read off the set's
+    fields only."""
+    if isinstance(s, Face):
+        return abs(F(w[s.index]) - s.value)
+    return min(sum((abs(F(a) - F(b)) for a, b in zip(w, p)), F(0)) for p in s.points)
+
+
+def _oracle_degree(ev, var, w) -> Fraction:
+    if var in ev.basic:
+        i = ev.basic.index(var)
+        protos, counters = Face(i, F(1)), Face(i, F(0))
+    else:
+        protos, counters = ev.dependent[var].protos, ev.dependent[var].counters
+    dp, dc = _oracle_distance(w, protos), _oracle_distance(w, counters)
+    return dc / (dp + dc)
+
+
+def _oracle_region(ev, f, w) -> bool:
+    if isinstance(f, Atom):
+        return _oracle_degree(ev, f.content.var, w) == f.content.grade
+    if isinstance(f, ONot):
+        return not _oracle_region(ev, f.operand, w)
+    left, right = _oracle_region(ev, f.left, w), _oracle_region(ev, f.right, w)
+    return (left and right) if isinstance(f, OAnd) else (left or right)
+
+
+def _oracle_grid(n, k):
+    return itertools.product([F(i, k) for i in range(k + 1)], repeat=n)
+
+
+def _coprime_coordinate(rng, k) -> Fraction:
+    """A coordinate in [0, 1] whose denominator shares no factor with ``k``
+    about half the time; the other half it sits on the k-grid."""
+    if rng.random() < 0.5:
+        return F(rng.randint(0, k), k)
+    d = rng.choice([d for d in (2, 3, 5, 7, 11) if math.gcd(d, k) == 1])
+    return F(rng.randint(0, d), d)
+
+
+def _random_set(rng, n, k):
+    if rng.random() < 0.4:
+        return Face(rng.randrange(n), F(rng.randint(0, 1)))
+    points = tuple(
+        tuple(_coprime_coordinate(rng, k) for _ in range(n))
+        for _ in range(rng.randint(1, 3))
+    )
+    return FiniteSet(points)
+
+
+def _random_qevaluation(rng, n, k) -> QEvaluation:
+    dependent = {}
+    while len(dependent) < rng.randint(1, 2):
+        try:
+            pair = PCPair(_random_set(rng, n, k), _random_set(rng, n, k))
+        except ValueError:  # the two sets touch; draw again
+            continue
+        dependent[f"d{len(dependent)}"] = pair
+    return QEvaluation(tuple(f"x{i}" for i in range(n)), dependent)
+
+
+def _random_region_formula(rng, ev, k, depth):
+    if depth == 0 or rng.random() < 0.3:
+        var = rng.choice(ev.basic + tuple(ev.dependent))
+        # a degree the variable really takes on the grid, so atoms hold
+        # somewhere; now and then an arbitrary grade
+        if rng.random() < 0.8:
+            w = tuple(F(rng.randint(0, k), k) for _ in ev.basic)
+            grade = _oracle_degree(ev, var, w)
+        else:
+            grade = F(rng.randint(0, 6), 6)
+        return qv(var, grade)
+    shape = rng.randrange(4)
+    if shape == 0:
+        return ONot(_random_region_formula(rng, ev, k, depth - 1))
+    if shape == 1:  # excluded middle around a subformula: covers the grid
+        sub = _random_region_formula(rng, ev, k, depth - 1)
+        return OOr(sub, ONot(sub)) if rng.random() < 0.5 else OOr(ONot(sub), sub)
+    left = _random_region_formula(rng, ev, k, depth - 1)
+    right = _random_region_formula(rng, ev, k, depth - 1)
+    return OAnd(left, right) if shape == 2 else OOr(left, right)
+
+
+class TestLatticeDifferential:
+    """Integer-lattice distances, degrees and regions against Fractions."""
+
+    def test_against_fraction_oracle(self):
+        rng = random.Random(5601)
+        verdicts = {True: 0, False: 0}
+        members = {True: 0, False: 0}
+        for _ in range(250):
+            n, k = rng.randint(1, 3), rng.randint(1, 5)
+            ev = _random_qevaluation(rng, n, k)
+            for _ in range(4):
+                w = tuple(_coprime_coordinate(rng, k) for _ in range(n))
+                u = tuple(_coprime_coordinate(rng, k) for _ in range(n))
+                assert l1_distance(w, u) == _oracle_distance(w, FiniteSet((u,)))
+                for pair in ev.dependent.values():
+                    for s in (pair.protos, pair.counters):
+                        assert set_distance(w, s) == _oracle_distance(w, s)
+                for var in ev.basic + tuple(ev.dependent):
+                    assert degree(ev, var, w) == _oracle_degree(ev, var, w)
+            f = _random_region_formula(rng, ev, k, rng.randint(1, 3))
+            for w in itertools.chain(
+                _oracle_grid(n, k),
+                (tuple(_coprime_coordinate(rng, k) for _ in range(n))
+                 for _ in range(3)),
+            ):
+                expected = _oracle_region(ev, f, w)
+                members[expected] += 1
+                assert in_region(ev, f, w) == expected, (ev, f, w)
+            expected = all(_oracle_region(ev, f, w) for w in _oracle_grid(n, k))
+            verdicts[expected] += 1
+            assert satisfied_on_grid(ev, f, k) == expected, (ev, f, k)
+        assert min(verdicts.values()) >= 40, verdicts
+        assert min(members.values()) >= 500, members
