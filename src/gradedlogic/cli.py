@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import re
 import sys
@@ -164,20 +163,17 @@ def _cmd_qcheck(args) -> int:
             "outside supported pattern",
         )
         return 1
-    header = list(ev.basic) + ["degree"]
-    rows = list(_degree_rows(ev, args.grid))
+    table = [list(ev.basic) + ["degree"], *_degree_rows(ev, args.grid)]
     if args.csv_out:
         with open(args.csv_out, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerows(rows)
+            csv.writer(handle).writerows(table)
     if args.json:
         payload = {
             "correct": True,
             "dimension": args.dim,
             "grid": args.grid,
-            "columns": header,
-            "rows": rows,
+            "columns": table[0],
+            "rows": table[1:],
         }
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -185,11 +181,7 @@ def _cmd_qcheck(args) -> int:
         if args.csv_out:
             print(f"degree dump written to {args.csv_out}")
         else:
-            buffer = io.StringIO()
-            writer = csv.writer(buffer)
-            writer.writerow(header)
-            writer.writerows(rows)
-            sys.stdout.write(buffer.getvalue())
+            csv.writer(sys.stdout).writerows(table)
     return 0
 
 

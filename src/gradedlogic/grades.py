@@ -40,7 +40,10 @@ def as_grade(value: GradeLike) -> Grade:
     """
     if isinstance(value, float):
         raise TypeError("degrees must be exact; pass a Fraction, int, or string, not float")
-    grade = Fraction(value)
+    try:
+        grade = Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"degree {value!r} has a zero denominator") from None
     if grade < ZERO or grade > ONE:
         raise ValueError(f"degree {grade} outside [0, 1]")
     return grade

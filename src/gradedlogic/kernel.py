@@ -50,6 +50,8 @@ the shapes the schemas read (a one-antecedent atom, a two-premise arrow,
 ...); the condition receives the parts of its view and the session t-norm
 and returns the grade bindings, or None when a side condition fails.  A
 new schema is one ``_SCHEMAS`` entry, placed at its catalogue position.
+``ProofBuilder.infer`` is the builder's one inference step: the axiom
+instance ``line => target``, then modus ponens.
 """
 
 from __future__ import annotations
@@ -89,7 +91,9 @@ from .syntax import (
     Strong,
     Top,
     Var,
+    conjuncts,
     implication_parts,
+    multiset,
     outer_implies,
     parse_formula,
     render,
@@ -184,14 +188,9 @@ def _single(g: Optional[GradedImplication]) -> Optional[_Unit]:
     return None
 
 
-def _conjuncts(f: OuterFormula) -> list:
-    if isinstance(f, OAnd):
-        return _conjuncts(f.left) + _conjuncts(f.right)
-    return [f]
-
-
-def _sorted_multiset(exprs: Iterable[BasicExpr]) -> tuple:
-    return tuple(sorted(exprs, key=render))
+def _unit(a: BasicExpr, b: BasicExpr, d) -> Atom:
+    """The one-antecedent implication atom ``a ->[d] b``."""
+    return Atom(GradedImplication((a,), b, d))
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +226,9 @@ def _views(f: OuterFormula) -> dict:
             x = _single(premise)
             if x is not None:
                 views["arrow"] = (x, z)
-        conjuncts = _conjuncts(parts[0])
-        if len(conjuncts) >= 2 and conclusion is not None:
-            gs = tuple(_gi_atom(c) for c in conjuncts)
+        premises = conjuncts(parts[0])
+        if len(premises) >= 2 and conclusion is not None:
+            gs = tuple(_gi_atom(c) for c in premises)
             views["nary"] = (gs, conclusion)
             if len(gs) == 2 and z is not None:
                 x, y = _single(gs[0]), _single(gs[1])
@@ -273,9 +272,9 @@ def _mean_trans1(gs, conclusion, kind):
         steps = [_single(r) for r in rest]
         if any(s is None for s in steps):
             continue
-        if _sorted_multiset(s.cons for s in steps) != inner.antecedents:
+        if multiset(s.cons for s in steps) != inner.antecedents:
             continue
-        if _sorted_multiset(s.ant for s in steps) != conclusion.antecedents:
+        if multiset(s.ant for s in steps) != conclusion.antecedents:
             continue
         grades = tuple(s.grade for s in steps)
         if conclusion.grade == luk_tnorm(mean(grades), inner.grade):
@@ -305,7 +304,7 @@ def _mean_trans3(gs, conclusion, kind):
         steps = [_single(r) for r in gs[:j] + gs[j + 1:]]
         if any(x is None or x.cons != Bottom() for x in steps):
             continue
-        if _sorted_multiset(x.ant for x in steps) != conclusion.antecedents:
+        if multiset(x.ant for x in steps) != conclusion.antecedents:
             continue
         grades = tuple(x.grade for x in steps)
         if conclusion.grade == luk_tconorm(mean(grades), s.grade):
@@ -543,8 +542,8 @@ def tau_formulas(alpha: BasicExpr, c, denominators: Iterable[int]) -> list:
     """
     c = as_grade(c)
     ts = sorted({Fraction(i, q) for q in denominators for i in range(q + 1)})
-    lower = [Atom(GradedImplication((Top(),), alpha, t)) for t in ts if t < c]
-    upper = [Atom(GradedImplication((alpha,), Bottom(), negate(t))) for t in ts if t > c]
+    lower = [_unit(Top(), alpha, t) for t in ts if t < c]
+    upper = [_unit(alpha, Bottom(), negate(t)) for t in ts if t > c]
     return lower + upper
 
 
@@ -601,6 +600,12 @@ class ProofBuilder:
             return existing
         return self._append(conclusion, MP(minor, major))
 
+    def infer(self, line: int, target: OuterFormula) -> int:
+        """Derive ``target`` from an earlier line: the axiom instance
+        ``line => target``, then modus ponens.  ValueError, and no line
+        appended, when no schema licenses that arrow."""
+        return self.mp(line, self.axiom(outer_implies(self.lines[line].formula, target)))
+
     def conjoin(self, i: int, j: int) -> int:
         """Derive the conjunction of two earlier lines via a tautology step."""
         phi = self.lines[i].formula
@@ -630,12 +635,9 @@ class ProofBuilder:
             raise ValueError(f"cannot strengthen grade {g.grade} to {target}")
         if target == g.grade:
             return line
-        slack = ONE + target - g.grade
-        refl = self.axiom(Atom(GradedImplication((g.consequent,), g.consequent, slack)))
+        refl = self.axiom(_unit(g.consequent, g.consequent, ONE + target - g.grade))
         pair = self.conjoin(line, refl)
-        weakened = Atom(GradedImplication(g.antecedents, g.consequent, target))
-        bridge = self.axiom(outer_implies(self.lines[pair].formula, weakened))
-        return self.mp(pair, bridge)
+        return self.infer(pair, Atom(GradedImplication(g.antecedents, g.consequent, target)))
 
     def build(self) -> Proof:
         return Proof(self.theory, tuple(self.lines))
@@ -661,11 +663,8 @@ def score_theory(answers: Sequence, items: Optional[Sequence[str]] = None,
     delta = Var(disorder)
     lower = Atom(GradedImplication(tuple(phis), delta, ONE))
     upper = Atom(GradedImplication(tuple(Neg(p) for p in phis), Neg(delta), ONE))
-    floors = [Atom(GradedImplication((Top(),), p, c)) for p, c in zip(phis, answers)]
-    ceils = [
-        Atom(GradedImplication((p,), Bottom(), negate(c)))
-        for p, c in zip(phis, answers)
-    ]
+    floors = [_unit(Top(), p, c) for p, c in zip(phis, answers)]
+    ceils = [_unit(p, Bottom(), negate(c)) for p, c in zip(phis, answers)]
     return (lower, upper, *floors, *ceils)
 
 
@@ -700,15 +699,11 @@ def build_score_derivation(
     floor_idx = [b.hyp(2 + i) for i in range(n)]
     all_low = b.conjoin_all(floor_idx + [b.hyp(0)])
     spread_low = Atom(GradedImplication(tops, delta, d))
-    ax_low = b.axiom(outer_implies(b.lines[all_low].formula, spread_low))
     if n == 1:
-        pending_low = (all_low, ax_low)
+        pending_low = (all_low, b.axiom(outer_implies(b.lines[all_low].formula, spread_low)))
     else:
-        mid = b.mp(all_low, ax_low)
-        collapse = b.axiom(
-            outer_implies(spread_low, Atom(GradedImplication((Top(),), delta, d)))
-        )
-        pending_low = (mid, collapse)
+        mid = b.infer(all_low, spread_low)
+        pending_low = (mid, b.axiom(outer_implies(spread_low, _unit(Top(), delta, d))))
 
     # Bridging lemmas.
     lemma_a = _derive_top_to_negbot(b)
@@ -718,58 +713,23 @@ def build_score_derivation(
     # through the negated theory implication, then rotate back onto delta.
     rotated = []
     for i in range(n):
-        ceil = b.hyp(2 + n + i)
         ceil_f = theory[2 + n + i].content
-        rot = b.axiom(
-            outer_implies(
-                theory[2 + n + i],
-                Atom(GradedImplication((Neg(Bottom()),), Neg(ceil_f.antecedents[0]),
-                                       ceil_f.grade)),
-            )
-        )
-        via_negbot = b.mp(ceil, rot)
+        neg_item = Neg(ceil_f.antecedents[0])
+        via_negbot = b.infer(b.hyp(2 + n + i), _unit(Neg(Bottom()), neg_item, ceil_f.grade))
         pair = b.conjoin(lemma_a, via_negbot)
-        tr = b.axiom(
-            outer_implies(
-                b.lines[pair].formula,
-                Atom(GradedImplication((Top(),), Neg(ceil_f.antecedents[0]),
-                                       ceil_f.grade)),
-            )
-        )
-        rotated.append(b.mp(pair, tr))
+        rotated.append(b.infer(pair, _unit(Top(), neg_item, ceil_f.grade)))
     all_up = b.conjoin_all(rotated + [b.hyp(1)])
-    spread_up = Atom(GradedImplication(tops, Neg(delta), negate(d)))
-    ax_up = b.axiom(outer_implies(b.lines[all_up].formula, spread_up))
-    mid_up = b.mp(all_up, ax_up)
+    mid_up = b.infer(all_up, Atom(GradedImplication(tops, Neg(delta), negate(d))))
     if n > 1:
-        collapse_up = b.axiom(
-            outer_implies(spread_up, Atom(GradedImplication((Top(),), Neg(delta),
-                                                            negate(d))))
-        )
-        mid_up = b.mp(mid_up, collapse_up)
+        mid_up = b.infer(mid_up, _unit(Top(), Neg(delta), negate(d)))
 
-    rot_back = b.axiom(
-        outer_implies(
-            b.lines[mid_up].formula,
-            Atom(GradedImplication((Neg(Neg(delta)),), Neg(Top()), negate(d))),
-        )
-    )
-    doubled = b.mp(mid_up, rot_back)
-    undouble = b.axiom(Atom(GradedImplication((delta,), Neg(Neg(delta)), ONE)))
+    doubled = b.infer(mid_up, _unit(Neg(Neg(delta)), Neg(Top()), negate(d)))
+    undouble = b.axiom(_unit(delta, Neg(Neg(delta)), ONE))
     pair = b.conjoin(undouble, doubled)
-    to_negtop = b.axiom(
-        outer_implies(
-            b.lines[pair].formula,
-            Atom(GradedImplication((delta,), Neg(Top()), negate(d))),
-        )
-    )
-    at_negtop = b.mp(pair, to_negtop)
+    at_negtop = b.infer(pair, _unit(delta, Neg(Top()), negate(d)))
     last_pair = b.conjoin(at_negtop, lemma_b)
     final_ax = b.axiom(
-        outer_implies(
-            b.lines[last_pair].formula,
-            Atom(GradedImplication((delta,), Bottom(), negate(d))),
-        )
+        outer_implies(b.lines[last_pair].formula, _unit(delta, Bottom(), negate(d)))
     )
 
     # Fire the two pending conclusions so they land as the final two lines.
@@ -780,44 +740,20 @@ def build_score_derivation(
 
 def _derive_top_to_negbot(b: ProofBuilder) -> int:
     """top ->[1] ~bot, from schema instances only."""
-    start = b.axiom(Atom(GradedImplication((Bottom(),), Neg(Top()), ONE)))
-    rot = b.axiom(
-        outer_implies(
-            b.lines[start].formula,
-            Atom(GradedImplication((Neg(Neg(Top())),), Neg(Bottom()), ONE)),
-        )
-    )
-    rotated = b.mp(start, rot)
-    dbl = b.axiom(Atom(GradedImplication((Top(),), Neg(Neg(Top())), ONE)))
+    start = b.axiom(_unit(Bottom(), Neg(Top()), ONE))
+    rotated = b.infer(start, _unit(Neg(Neg(Top())), Neg(Bottom()), ONE))
+    dbl = b.axiom(_unit(Top(), Neg(Neg(Top())), ONE))
     pair = b.conjoin(dbl, rotated)
-    compose = b.axiom(
-        outer_implies(
-            b.lines[pair].formula,
-            Atom(GradedImplication((Top(),), Neg(Bottom()), ONE)),
-        )
-    )
-    return b.mp(pair, compose)
+    return b.infer(pair, _unit(Top(), Neg(Bottom()), ONE))
 
 
 def _derive_negtop_to_bot(b: ProofBuilder) -> int:
     """~top ->[1] bot, from schema instances only."""
-    start = b.axiom(Atom(GradedImplication((Neg(Bottom()),), Top(), ONE)))
-    rot = b.axiom(
-        outer_implies(
-            b.lines[start].formula,
-            Atom(GradedImplication((Neg(Top()),), Neg(Neg(Bottom())), ONE)),
-        )
-    )
-    rotated = b.mp(start, rot)
-    undbl = b.axiom(Atom(GradedImplication((Neg(Neg(Bottom())),), Bottom(), ONE)))
+    start = b.axiom(_unit(Neg(Bottom()), Top(), ONE))
+    rotated = b.infer(start, _unit(Neg(Top()), Neg(Neg(Bottom())), ONE))
+    undbl = b.axiom(_unit(Neg(Neg(Bottom())), Bottom(), ONE))
     pair = b.conjoin(rotated, undbl)
-    compose = b.axiom(
-        outer_implies(
-            b.lines[pair].formula,
-            Atom(GradedImplication((Neg(Top()),), Bottom(), ONE)),
-        )
-    )
-    return b.mp(pair, compose)
+    return b.infer(pair, _unit(Neg(Top()), Bottom(), ONE))
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,9 @@ from .syntax import (
     Atom,
     GradedVariable,
     OAnd,
-    ONot,
-    OOr,
     OuterFormula,
+    compile_outer,
+    conjuncts,
     implication_parts,
 )
 
@@ -201,13 +201,19 @@ def _scale(ev: QEvaluation, *denominators: int) -> int:
     return lcm(*denominators, *(s.denominator for s in sets))
 
 
-def degree(ev: QEvaluation, var: str, w: World) -> Grade:
-    """Relative-distance degree of ``var`` at ``w``; exact."""
+def _scaled_world(ev: QEvaluation, w: World) -> tuple:
+    """``(scale, _ints(w, scale))`` with ``scale`` clearing ``ev``'s and ``w``'s
+    denominators; ValueError when ``w`` does not fit ``ev``'s dimension."""
     if len(w) != ev.dimension:
         raise ValueError("world dimension does not match the evaluation")
-    pair = ev.pair(var)
     scale = _scale(ev, *(c.denominator for c in w))
-    x = _ints(w, scale)
+    return scale, _ints(w, scale)
+
+
+def degree(ev: QEvaluation, var: str, w: World) -> Grade:
+    """Relative-distance degree of ``var`` at ``w``; exact."""
+    scale, x = _scaled_world(ev, w)
+    pair = ev.pair(var)
     to_counters = _scaled_distance(pair.counters, scale)(x)
     return Fraction(to_counters, _scaled_distance(pair.protos, scale)(x) + to_counters)
 
@@ -216,32 +222,24 @@ def _region(ev: QEvaluation, f: OuterFormula, scale: int) -> Callable[[tuple], b
     """Compile ``f`` to a membership test of worlds given as ``_ints(w, scale)``,
     for ``scale`` from ``_scale``.  Unbound variables and graded-implication
     atoms raise here, before any world is visited."""
-    if isinstance(f, Atom):
-        if not isinstance(f.content, GradedVariable):
+
+    def atom(q) -> Callable[[tuple], bool]:
+        if not isinstance(q, GradedVariable):
             raise TypeError("graded-implication atoms have no region semantics")
-        pair = ev.pair(f.content.var)
+        pair = ev.pair(q.var)
         to_protos = _scaled_distance(pair.protos, scale)
         to_counters = _scaled_distance(pair.counters, scale)
-        u, v = f.content.grade.numerator, f.content.grade.denominator
+        u, v = q.grade.numerator, q.grade.denominator
         # the degree dc / (dp + dc) equals the grade u / v
         return lambda x: (dc := to_counters(x)) * v == u * (to_protos(x) + dc)
-    if isinstance(f, ONot):
-        operand = _region(ev, f.operand, scale)
-        return lambda x: not operand(x)
-    if not isinstance(f, (OAnd, OOr)):
-        raise TypeError(f"not an outer formula: {f!r}")
-    left, right = _region(ev, f.left, scale), _region(ev, f.right, scale)
-    if isinstance(f, OAnd):
-        return lambda x: left(x) and right(x)
-    return lambda x: left(x) or right(x)
+
+    return compile_outer(f, atom)
 
 
 def in_region(ev: QEvaluation, f: OuterFormula, w: World) -> bool:
     """Membership of ``w`` in the region denoted by ``f``."""
-    if len(w) != ev.dimension:
-        raise ValueError("world dimension does not match the evaluation")
-    scale = _scale(ev, *(c.denominator for c in w))
-    return _region(ev, f, scale)(_ints(w, scale))
+    scale, x = _scaled_world(ev, w)
+    return _region(ev, f, scale)(x)
 
 
 def grid_worlds(n: int, k: int) -> Iterable[World]:
@@ -316,17 +314,6 @@ def _q_atom(f: OuterFormula) -> Optional[GradedVariable]:
     return None
 
 
-def _conjunct_atoms(f: OuterFormula) -> Optional[list]:
-    if isinstance(f, OAnd):
-        left = _conjunct_atoms(f.left)
-        right = _conjunct_atoms(f.right)
-        if left is None or right is None:
-            return None
-        return left + right
-    atom = _q_atom(f)
-    return None if atom is None else [atom]
-
-
 def _corner_halves(f: OuterFormula, level: Grade):
     """(disorder atom, item atoms) for one biconditional at degree ``level``."""
     sides = _biconditional_sides(f)
@@ -336,10 +323,8 @@ def _corner_halves(f: OuterFormula, level: Grade):
         atom = _q_atom(solo)
         if atom is None or atom.grade != level:
             continue
-        others = _conjunct_atoms(conj)
-        if others is None or not others:
-            continue
-        if any(a.grade != level for a in others):
+        others = [_q_atom(c) for c in conjuncts(conj)]
+        if any(a is None or a.grade != level for a in others):
             continue
         names = [a.var for a in others]
         if len(set(names)) != len(names) or atom.var in names:

@@ -48,6 +48,7 @@ from .syntax import (
     Strong,
     Top,
     Var,
+    compile_outer,
     vars_of_formula,
 )
 
@@ -178,7 +179,9 @@ def _grid_compiler(names: Sequence[str], m: int, kind: TNormKind):
                 return x if x < y else y
         return fn, s
 
-    def implication(g: GradedImplication) -> Callable[[tuple], bool]:
+    def implication(g) -> Callable[[tuple], bool]:
+        if not isinstance(g, GradedImplication):
+            raise TypeError(_NO_DEGREE_SEMANTICS)
         # mean(x_i / s_i) <= x_c / s_c + 1 - u / v, times n * lcm of all
         # denominators, is one comparison of ints.
         ants = [basic(a) for a in g.antecedents]
@@ -195,22 +198,7 @@ def _grid_compiler(names: Sequence[str], m: int, kind: TNormKind):
         terms = [(scale // s, f) for f, s in ants]
         return lambda p: sum(k * f(p) for k, f in terms) <= kc * fc(p) + slack
 
-    def formula(f: OuterFormula) -> Callable[[tuple], bool]:
-        if isinstance(f, Atom):
-            if not isinstance(f.content, GradedImplication):
-                raise TypeError(_NO_DEGREE_SEMANTICS)
-            return implication(f.content)
-        if isinstance(f, ONot):
-            operand = formula(f.operand)
-            return lambda p: not operand(p)
-        if not isinstance(f, (OAnd, OOr)):
-            raise TypeError(f"not an outer formula: {f!r}")
-        left, right = formula(f.left), formula(f.right)
-        if isinstance(f, OAnd):
-            return lambda p: left(p) and right(p)
-        return lambda p: left(p) or right(p)
-
-    return formula
+    return lambda f: compile_outer(f, implication)
 
 
 def find_countermodel(

@@ -21,7 +21,10 @@ The grammar is deliberately precedence-free: one unparenthesised binary
 operator is allowed per level, chains must be parenthesised.  ``render``
 produces a canonical fully parenthesised form, and ``parse`` of that form
 returns a structurally equal tree.  Grades are parsed to exact rationals;
-antecedent lists are kept as canonically sorted multisets.
+antecedent lists are kept as canonically sorted multisets (``multiset``).
+The grid search and the prototype regions compile formulas through one
+``compile_outer``, given their atom compilers; the kernel and the canonical
+theory recogniser flatten conjunctions through one ``conjuncts``.
 """
 
 from __future__ import annotations
@@ -113,11 +116,16 @@ class GradedImplication:
         ants = tuple(self.antecedents)
         if not ants:
             raise ValueError("graded implication needs at least one antecedent")
-        object.__setattr__(self, "antecedents", tuple(sorted(ants, key=render)))
+        object.__setattr__(self, "antecedents", multiset(ants))
         object.__setattr__(self, "grade", as_grade(self.grade))
 
     def __str__(self) -> str:
         return render(self)
+
+
+def multiset(exprs: Iterable[BasicExpr]) -> tuple:
+    """``exprs`` in the canonical order of an implication's antecedents."""
+    return tuple(sorted(exprs, key=render))
 
 
 def gi(antecedents: Union[BasicExpr, Iterable[BasicExpr]], consequent: BasicExpr,
@@ -196,6 +204,36 @@ def implication_parts(f: OuterFormula):
     if isinstance(f, OOr) and isinstance(f.left, ONot):
         return f.left.operand, f.right
     return None
+
+
+def conjuncts(f: OuterFormula) -> list:
+    """The conjuncts of ``f`` left to right, under any bracketing of ``/\\``;
+    ``[f]`` when ``f`` is not a conjunction."""
+    out, pending = [], [f]
+    while pending:
+        g = pending.pop()
+        if isinstance(g, OAnd):
+            pending += (g.right, g.left)
+        else:
+            out.append(g)
+    return out
+
+
+def compile_outer(f: OuterFormula, atom: Callable) -> Callable:
+    """Compile ``f`` to a predicate: ``atom(content)`` compiles each atom's
+    content, and ``!``, ``/\\`` and ``\\/`` combine the results classically.
+    Atoms are compiled left to right, so the first bad one raises."""
+    if isinstance(f, Atom):
+        return atom(f.content)
+    if isinstance(f, ONot):
+        operand = compile_outer(f.operand, atom)
+        return lambda x: not operand(x)
+    if not isinstance(f, (OAnd, OOr)):
+        raise TypeError(f"not an outer formula: {f!r}")
+    left, right = compile_outer(f.left, atom), compile_outer(f.right, atom)
+    if isinstance(f, OAnd):
+        return lambda x: left(x) and right(x)
+    return lambda x: left(x) or right(x)
 
 
 def atom_kinds(f: OuterFormula) -> frozenset:

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from gradedlogic import (
+    build_score_derivation,
     check_proof,
     parse_proof_script,
     parse_theory,
@@ -104,6 +107,13 @@ class TestEvalCommand:
         code, _, err = run(capsys, "eval", "--expr", "p", "--assign", "p")
         assert code == 2
         assert "NAME=GRADE" in err
+
+    @pytest.mark.parametrize("grade", ["1/0", "0/0"])
+    def test_zero_denominator_grade_is_usage_error(self, capsys, grade):
+        code, out, err = run(capsys, "eval", "--expr", "p", "--assign", f"p={grade}")
+        assert code == 2
+        assert not out
+        assert err.startswith("error:") and "zero denominator" in err
 
     def test_float_grade_rejected(self, capsys):
         code, _, err = run(
@@ -296,7 +306,8 @@ class TestCheckProofCommand:
 
     def test_rejects_tampered_line(self, proof_files, capsys, tmp_path):
         theory, proof = proof_files
-        lines = open(proof, encoding="utf-8").read().splitlines()
+        with open(proof, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
         obj = json.loads(lines[-1])
         obj["formula"] = "delta ->[1/8] bot"
         lines[-1] = json.dumps(obj)
@@ -609,3 +620,127 @@ class TestTheoryRoundTripThroughCli:
             code, out, _ = run(capsys, "parse", render(f))
             assert code == 0
             assert out.strip() == render(f)
+
+
+PINNED_DEGREES = (
+    "p1,p2,degree\r\n0,0,0\r\n0,1/2,1/4\r\n0,1,1/2\r\n1/2,0,1/4\r\n1/2,1/2,1/2\r\n"
+    "1/2,1,3/4\r\n1,0,1/2\r\n1,1/2,3/4\r\n1,1,1\r\n"
+)
+PINNED_DEGREES_JSON = (
+    '{"columns": ["p1", "p2", "degree"], "correct": true, "dimension": 2, '
+    '"grid": 2, "rows": [["0", "0", "0"], ["0", "1/2", "1/4"], ["0", "1", "1/2"], '
+    '["1/2", "0", "1/4"], ["1/2", "1/2", "1/2"], ["1/2", "1", "3/4"], '
+    '["1", "0", "1/2"], ["1", "1/2", "3/4"], ["1", "1", "1"]]}\n'
+)
+PINNED_REJECTION = (
+    "major premise is not the implication of the minor premise and this line"
+)
+PINNED_REPORTS = (
+    '{"agreement": true, "proof": "reports.alice.proof.jsonl", "respondent": '
+    '"alice", "score_lgim": "3/4", "score_mean": "3/4", "score_q": "3/4"}\n'
+    '{"agreement": true, "proof": "reports.bob.proof.jsonl", "respondent": '
+    '"bob", "score_lgim": "1/8", "score_mean": "1/8", "score_q": "1/8"}\n'
+)
+PINNED_DEMO = (
+    "four-item mood screen: 4 items, scale 0..4\n"
+    "r1: mean=5/8 distance=5/8 derivation=5/8 agree\n"
+    "r2: mean=0 distance=0 derivation=0 agree\n"
+    "r3: mean=1 distance=1 derivation=1 agree\n"
+    "r4: mean=1/2 distance=1/2 derivation=1/2 agree\n"
+    "r5: mean=1/2 distance=1/2 derivation=1/2 agree\n"
+    "all three scoring routes agree\n"
+)
+PINNED_DEMO_JSON = "".join(
+    f'{{"agreement": true, "proof": null, "respondent": "{r}", "score_lgim": '
+    f'"{d}", "score_mean": "{d}", "score_q": "{d}"}}\n'
+    for r, d in (("r1", "5/8"), ("r2", "0"), ("r3", "1"), ("r4", "1/2"),
+                 ("r5", "1/2"))
+)
+
+# argv, exit code, stdout in text mode, stdout with --json
+PINNED_STDOUT = [
+    (["parse", "b, a ->[2/4] c"], 0, "a, b ->[1/2] c\n",
+     '{"canonical": "a, b ->[1/2] c", "kind": "formula"}\n'),
+    (["parse", "--basic", "(p&~q)"], 0, "(p & ~q)\n",
+     '{"canonical": "(p & ~q)", "kind": "basic"}\n'),
+    (["eval", "--expr", "(p * q)", "--assign", "p=7/10", "--assign", "q=6/10",
+      "--tnorm", "product"], 0, "21/50\n", '{"kind": "basic", "value": "21/50"}\n'),
+    (["eval", "--formula", "p ->[1] q", "--assign", "p=7/10", "--assign", "q=6/10"],
+     1, "false\n", '{"kind": "formula", "satisfied": false}\n'),
+    (["entail", "--theory", "lower.lgi", "--formula", "top ->[7/10] p",
+      "--grid-denominator", "10"], 1, "countermodel: p=3/5\n",
+     '{"countermodel": {"p": "3/5"}, "grid_denominator": 10, '
+     '"verdict": "countermodel"}\n'),
+    (["entail", "--theory", "lower.lgi", "--formula", "top ->[1/2] p",
+      "--grid-denominator", "10"], 0, "no countermodel with denominator 10\n",
+     '{"grid_denominator": 10, "verdict": "no countermodel"}\n'),
+    (["check-proof", "--theory", "score.lgi", "--proof", "score.jsonl"], 0,
+     "accepted\n", '{"accepted": true}\n'),
+    (["check-proof", "--theory", "score.lgi", "--proof", "tampered.jsonl"], 1,
+     f"rejected at line 70: {PINNED_REJECTION}\n",
+     f'{{"accepted": false, "line": 70, "reason": "{PINNED_REJECTION}"}}\n'),
+    (["qcheck", "--theory", "disorder.lgi", "--dim", "2", "--grid", "2"], 0,
+     "correct: canonical evaluation over p1, p2\n" + PINNED_DEGREES,
+     PINNED_DEGREES_JSON),
+    (["qcheck", "--theory", "disorder.lgi", "--dim", "2", "--grid", "2",
+      "--csv-out", "degrees.csv"], 0,
+     "correct: canonical evaluation over p1, p2\n"
+     "degree dump written to degrees.csv\n", PINNED_DEGREES_JSON),
+    (["demo"], 0, PINNED_DEMO, PINNED_DEMO_JSON),
+]
+
+
+class TestPinnedCliBytes:
+    """Exact stdout and written files of every command, in text and --json mode."""
+
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("lower.lgi").write_text("# a lower bound\ntop ->[3/5] p\n",
+                                     encoding="utf-8")
+        Path("disorder.lgi").write_text(CANONICAL_THEORY, encoding="utf-8")
+        Path("spec.json").write_text(json.dumps(DEMO_SPEC), encoding="utf-8")
+        Path("answers.csv").write_text("respondent,m1,m2\nalice,4,2\nbob,0,1\n",
+                                       encoding="utf-8")
+        proof = build_score_derivation(2, [Fraction(1, 2), Fraction(1)])
+        Path("score.lgi").write_text(
+            "\n".join(render(f) for f in proof.theory) + "\n", encoding="utf-8"
+        )
+        lines = proof_to_json_lines(proof).splitlines()
+        Path("score.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        obj = json.loads(lines[-1])
+        obj["formula"] = "delta ->[1/8] bot"
+        lines[-1] = json.dumps(obj)
+        Path("tampered.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return tmp_path
+
+    @pytest.mark.parametrize("argv, code, text, payload", PINNED_STDOUT,
+                             ids=[" ".join(row[0][:2]) for row in PINNED_STDOUT])
+    def test_stdout(self, workdir, capsys, argv, code, text, payload):
+        assert run(capsys, *argv)[:2] == (code, text)
+        assert run(capsys, *argv, "--json")[:2] == (code, payload)
+
+    def test_qcheck_csv_file(self, workdir, capsys):
+        run(capsys, "qcheck", "--theory", "disorder.lgi", "--dim", "2", "--grid", "2",
+            "--csv-out", "degrees.csv")
+        assert Path("degrees.csv").read_bytes() == PINNED_DEGREES.encode()
+
+    def test_score_outputs(self, workdir, capsys):
+        argv = ("score", "--spec", "spec.json", "--answers", "answers.csv",
+                "--out", "reports.jsonl")
+        assert run(capsys, *argv)[:2] == (0, (
+            "alice: mean=3/4 distance=3/4 derivation=3/4 agree\n"
+            "bob: mean=1/8 distance=1/8 derivation=1/8 agree\n"
+            "wrote 2 reports to reports.jsonl\n"
+        ))
+        assert Path("reports.jsonl").read_bytes() == PINNED_REPORTS.encode()
+        assert run(capsys, *argv, "--json")[:2] == (0, PINNED_REPORTS)
+        assert Path("reports.jsonl").read_bytes() == PINNED_REPORTS.encode()
+        digests = {
+            "reports.alice.proof.jsonl":
+                "a1d38ba1101acb146d5dea88dd08da13b75fbf0145a6290cbb5dd1448785c77c",
+            "reports.bob.proof.jsonl":
+                "52177e753387a125b5d986b4aee1cf564dbc27d0aa2128ef03220f589b7099a8",
+        }
+        for name, digest in digests.items():
+            assert hashlib.sha256(Path(name).read_bytes()).hexdigest() == digest

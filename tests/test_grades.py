@@ -36,6 +36,11 @@ class TestAsGrade:
         with pytest.raises(TypeError):
             as_grade(0.5)
 
+    @pytest.mark.parametrize("text", ["1/0", "0/0"])
+    def test_rejects_zero_denominator(self, text):
+        with pytest.raises(ValueError, match="zero denominator"):
+            as_grade(text)
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             as_grade(Fraction(11, 10))

@@ -638,6 +638,23 @@ class TestProofBuilder:
         with pytest.raises(ValueError):
             b.axiom(Atom(gi(P, Q, Fraction(9, 10))))
 
+    def test_infer_appends_axiom_then_modus_ponens(self):
+        theory = (Atom(gi(P, Q, Fraction(3, 4))),)
+        b = ProofBuilder(theory)
+        line = b.infer(b.hyp(0), Atom(gi(Neg(Q), Neg(P), Fraction(3, 4))))
+        assert [row.just for row in b.lines] == [
+            Hyp(0), AxiomInst("neg1", (Fraction(3, 4),)), MP(0, 1),
+        ]
+        assert b.lines[line].formula == Atom(gi(Neg(Q), Neg(P), Fraction(3, 4)))
+        assert check_proof(theory, b.build()).accepted
+
+    def test_infer_refuses_unlicensed_target(self):
+        b = ProofBuilder((Atom(gi(P, Q, Fraction(3, 4))),))
+        line = b.hyp(0)
+        with pytest.raises(ValueError, match="not an axiom instance"):
+            b.infer(line, Atom(gi(Neg(Q), Neg(P), Fraction(4, 5))))
+        assert len(b.lines) == 1
+
     def test_weaken_single_antecedent(self):
         theory = (Atom(gi(P, Q, Fraction(4, 5))),)
         b = ProofBuilder(theory)
