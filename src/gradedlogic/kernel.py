@@ -48,8 +48,8 @@ the fixed-arity schemas require their exact binary shape.
 A schema is a view plus a condition.  ``_views`` cuts a formula once into
 the shapes the schemas read (a one-antecedent atom, a two-premise arrow,
 ...); the condition receives the parts of its view and the session t-norm
-and returns the grade bindings, or None when a side condition fails.  A
-new schema is one ``_SCHEMAS`` entry, placed at its catalogue position.
+and says whether every side condition holds.  A new schema is one
+``_SCHEMAS`` entry, placed at its catalogue position.
 ``ProofBuilder.infer`` is the builder's one inference step: the axiom
 instance ``line => target``, then modus ponens.
 """
@@ -119,16 +119,12 @@ class AxiomInst:
     """Axiom-schema instance; the schema name may be left for the kernel to find."""
 
     schema: Optional[str] = None
-    params: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
 class Taut:
-    """Substitution instance of a classical tautology; ``atoms`` is its number
-    of distinct atoms.  The checker decides the line by branching on them and
-    does not read this count."""
-
-    atoms: Optional[int] = None
+    """Substitution instance of a classical tautology over the formula's
+    atoms; the checker decides it from the formula alone."""
 
 
 @dataclass(frozen=True)
@@ -243,25 +239,6 @@ def _views(f: OuterFormula) -> dict:
     return views
 
 
-def _neg1(x, y, kind):
-    if y == (Neg(x.cons), Neg(x.ant), x.grade):
-        return (x.grade,)
-    return None
-
-
-def _lin1(x, y, kind):
-    if x.grade == y.grade == ONE and y.ant == x.cons and y.cons == x.ant:
-        return ()
-    return None
-
-
-def _lin2(x, y, kind):
-    if x.ant == Top() and y.cons == Bottom() and y.ant == x.cons \
-            and y.grade == negate(x.grade):
-        return (x.grade,)
-    return None
-
-
 def _mean_trans1(gs, conclusion, kind):
     for j, inner in enumerate(gs):
         if inner is None or inner.consequent != conclusion.consequent:
@@ -276,15 +253,14 @@ def _mean_trans1(gs, conclusion, kind):
             continue
         if multiset(s.ant for s in steps) != conclusion.antecedents:
             continue
-        grades = tuple(s.grade for s in steps)
-        if conclusion.grade == luk_tnorm(mean(grades), inner.grade):
-            return grades + (inner.grade,)
-    return None
+        if conclusion.grade == luk_tnorm(mean([s.grade for s in steps]), inner.grade):
+            return True
+    return False
 
 
 def _mean_trans2(gs, conclusion, kind):
     if len(gs) != 2:
-        return None
+        return False
     for head, second in (gs, gs[::-1]):
         tail = _single(second)
         if head is None or tail is None:
@@ -292,8 +268,8 @@ def _mean_trans2(gs, conclusion, kind):
         if tail.ant == head.consequent and conclusion.antecedents == head.antecedents \
                 and conclusion.consequent == tail.cons \
                 and conclusion.grade == luk_tnorm(head.grade, tail.grade):
-            return (head.grade, tail.grade)
-    return None
+            return True
+    return False
 
 
 def _mean_trans3(gs, conclusion, kind):
@@ -306,94 +282,85 @@ def _mean_trans3(gs, conclusion, kind):
             continue
         if multiset(x.ant for x in steps) != conclusion.antecedents:
             continue
-        grades = tuple(x.grade for x in steps)
-        if conclusion.grade == luk_tconorm(mean(grades), s.grade):
-            return grades + (s.grade,)
-    return None
-
-
-def _mean_top(premise, z, kind):
-    if all(a == Top() for a in premise.antecedents) \
-            and z == (Top(), premise.consequent, premise.grade):
-        return (premise.grade,)
-    return None
+        if conclusion.grade == luk_tconorm(mean([x.grade for x in steps]), s.grade):
+            return True
+    return False
 
 
 # Schema name -> (view, condition), in catalogue (match) order.
 _SCHEMAS = {
-    "and1": ("pair", lambda x, y, z, kind: (x.grade,) if (
-        x.ant == y.ant == z.ant and x.grade == y.grade == z.grade
-        and z.cons == And(x.cons, y.cons)) else None),
-    "and2": ("unit", lambda a, b, d, kind: () if (
-        d == ONE and isinstance(a, And) and b == a.left) else None),
-    "and3": ("unit", lambda a, b, d, kind: () if (
-        d == ONE and isinstance(a, And) and b == a.right) else None),
-    "or1": ("pair", lambda x, y, z, kind: (x.grade,) if (
-        x.cons == y.cons == z.cons and x.grade == y.grade == z.grade
-        and z.ant == Or(x.ant, y.ant)) else None),
-    "or2": ("unit", lambda a, b, d, kind: () if (
-        d == ONE and isinstance(b, Or) and a == b.left) else None),
-    "or3": ("unit", lambda a, b, d, kind: () if (
-        d == ONE and isinstance(b, Or) and a == b.right) else None),
-    "strong1": ("pair", lambda x, y, z, kind: (x.grade, y.grade) if (
-        x.ant == y.ant == z.ant == Top() and z.cons == Strong(x.cons, y.cons)
-        and z.grade == tnorm(kind, x.grade, y.grade)) else None),
-    "strong2": ("pair", lambda x, y, z, kind: (x.grade, y.grade) if (
-        x.cons == y.cons == z.cons == Bottom() and z.ant == Strong(x.ant, y.ant)
-        and z.grade == tconorm(kind, x.grade, y.grade)) else None),
-    "strong3": ("unit", lambda a, b, d, kind: () if (
-        (a, b, d) == (Top(), Strong(Top(), Top()), ONE)) else None),
-    "neg1": ("arrow", _neg1),
-    "neg2": ("unit", lambda a, b, d, kind: () if (
-        d == ONE and a == Neg(Neg(b))) else None),
-    "neg3": ("unit", lambda a, b, d, kind: () if (
-        d == ONE and b == Neg(Neg(a))) else None),
-    "top": ("unit", lambda a, b, d, kind: () if d == ONE and b == Top() else None),
-    "bot": ("unit", lambda a, b, d, kind: () if d == ONE and a == Bottom() else None),
-    "zero": ("gi", lambda g, kind: () if g.grade == ZERO else None),
-    "refl": ("unit", lambda a, b, d, kind: (d,) if a == b else None),
-    "inkons": ("not", lambda a, b, d, kind: (d,) if (
-        a == Top() and b == Bottom() and d > ZERO) else None),
-    "trans1": ("pair", lambda x, y, z, kind: (x.grade, y.grade) if (
-        y.ant == x.cons and z.ant == x.ant and z.cons == y.cons
-        and z.grade == luk_tnorm(x.grade, y.grade)) else None),
-    "trans2": ("pair", lambda x, y, z, kind: (x.grade, y.grade) if (
-        x.cons == Bottom() and y.ant == Top() and z.ant == x.ant and z.cons == y.cons
-        and z.grade == luk_tconorm(x.grade, y.grade)) else None),
-    "lin1": ("or", _lin1),
-    "lin2": ("or", _lin2),
+    "and1": ("pair", lambda x, y, z, kind:
+             x.ant == y.ant == z.ant and x.grade == y.grade == z.grade
+             and z.cons == And(x.cons, y.cons)),
+    "and2": ("unit", lambda a, b, d, kind:
+             d == ONE and isinstance(a, And) and b == a.left),
+    "and3": ("unit", lambda a, b, d, kind:
+             d == ONE and isinstance(a, And) and b == a.right),
+    "or1": ("pair", lambda x, y, z, kind:
+            x.cons == y.cons == z.cons and x.grade == y.grade == z.grade
+            and z.ant == Or(x.ant, y.ant)),
+    "or2": ("unit", lambda a, b, d, kind:
+            d == ONE and isinstance(b, Or) and a == b.left),
+    "or3": ("unit", lambda a, b, d, kind:
+            d == ONE and isinstance(b, Or) and a == b.right),
+    "strong1": ("pair", lambda x, y, z, kind:
+                x.ant == y.ant == z.ant == Top() and z.cons == Strong(x.cons, y.cons)
+                and z.grade == tnorm(kind, x.grade, y.grade)),
+    "strong2": ("pair", lambda x, y, z, kind:
+                x.cons == y.cons == z.cons == Bottom() and z.ant == Strong(x.ant, y.ant)
+                and z.grade == tconorm(kind, x.grade, y.grade)),
+    "strong3": ("unit", lambda a, b, d, kind:
+                (a, b, d) == (Top(), Strong(Top(), Top()), ONE)),
+    "neg1": ("arrow", lambda x, y, kind: y == (Neg(x.cons), Neg(x.ant), x.grade)),
+    "neg2": ("unit", lambda a, b, d, kind: d == ONE and a == Neg(Neg(b))),
+    "neg3": ("unit", lambda a, b, d, kind: d == ONE and b == Neg(Neg(a))),
+    "top": ("unit", lambda a, b, d, kind: d == ONE and b == Top()),
+    "bot": ("unit", lambda a, b, d, kind: d == ONE and a == Bottom()),
+    "zero": ("gi", lambda g, kind: g.grade == ZERO),
+    "refl": ("unit", lambda a, b, d, kind: a == b),
+    "inkons": ("not", lambda a, b, d, kind: a == Top() and b == Bottom() and d > ZERO),
+    "trans1": ("pair", lambda x, y, z, kind:
+               y.ant == x.cons and z.ant == x.ant and z.cons == y.cons
+               and z.grade == luk_tnorm(x.grade, y.grade)),
+    "trans2": ("pair", lambda x, y, z, kind:
+               x.cons == Bottom() and y.ant == Top() and z.ant == x.ant
+               and z.cons == y.cons and z.grade == luk_tconorm(x.grade, y.grade)),
+    "lin1": ("or", lambda x, y, kind:
+             x.grade == y.grade == ONE and y.ant == x.cons and y.cons == x.ant),
+    "lin2": ("or", lambda x, y, kind:
+             x.ant == Top() and y.cons == Bottom() and y.ant == x.cons
+             and y.grade == negate(x.grade)),
     "mean_trans1": ("nary", _mean_trans1),
     "mean_trans2": ("nary", _mean_trans2),
     "mean_trans3": ("nary", _mean_trans3),
-    "mean_top": ("mean", _mean_top),
+    "mean_top": ("mean", lambda premise, z, kind:
+                 all(a == Top() for a in premise.antecedents)
+                 and z == (Top(), premise.consequent, premise.grade)),
 }
 
 SCHEMA_NAMES = tuple(_SCHEMAS)
 
 
-def _apply(schema: str, views: dict, kind: TNormKind):
+def _apply(schema: str, views: dict, kind: TNormKind) -> bool:
     view, condition = _SCHEMAS[schema]
     parts = views[view]
-    return None if parts is None else condition(*parts, kind)
+    return parts is not None and condition(*parts, kind)
 
 
-def match_axiom(f: OuterFormula, kind: TNormKind = TNormKind.LUKASIEWICZ):
-    """First schema (in catalogue order) that ``f`` instantiates, with its
-    grade parameters; None when no schema applies."""
+def match_axiom(f: OuterFormula,
+                kind: TNormKind = TNormKind.LUKASIEWICZ) -> Optional[str]:
+    """First schema (in catalogue order) that ``f`` instantiates; None when
+    no schema applies."""
     views = _views(f)
-    for name in _SCHEMAS:
-        params = _apply(name, views, kind)
-        if params is not None:
-            return name, params
-    return None
+    return next((name for name in _SCHEMAS if _apply(name, views, kind)), None)
 
 
 def match_schema(f: OuterFormula, schema: str,
-                 kind: TNormKind = TNormKind.LUKASIEWICZ):
-    """Match ``f`` against one named schema only."""
+                 kind: TNormKind = TNormKind.LUKASIEWICZ) -> Optional[str]:
+    """``schema`` when ``f`` instantiates that one named schema, else None."""
     if schema not in _SCHEMAS:
         raise ValueError(f"unknown axiom schema {schema!r}")
-    return _apply(schema, _views(f), kind)
+    return schema if _apply(schema, _views(f), kind) else None
 
 
 # ---------------------------------------------------------------------------
@@ -438,23 +405,23 @@ def _assign(node, atom: int, value: bool):
     return (node[0], x, y)
 
 
-def _tautology(f: OuterFormula, branch_cap: int) -> Optional[int]:
-    """Quine's method: split on the first atom left, substitute true and false,
-    constant-fold, and decide each branch the same way.
+def match_tautology(f: OuterFormula, branch_cap: int = DEFAULT_BRANCH_CAP) -> bool:
+    """Whether ``f`` is classically valid with distinct atoms as independent
+    booleans.
 
-    Returns the number of distinct atoms when every branch folds to true, or
-    None.  A formula over k atoms needs at most 2**k - 1 splits; past
-    ``branch_cap`` splits ResourceLimitError is raised instead.
+    Quine's method: split on the first atom left, substitute true and false,
+    constant-fold, and decide each branch the same way.  A formula over k
+    atoms needs at most 2**k - 1 splits; past ``branch_cap`` splits
+    ResourceLimitError is raised instead.
     """
-    index: dict = {}
-    pending = [_compile(f, index)]
+    pending = [_compile(f, {})]
     branches = 0
     while pending:
         node = pending.pop()
         if node is True:
             continue
         if node is False:
-            return None
+            return False
         branches += 1
         if branches > branch_cap:
             raise ResourceLimitError(
@@ -465,13 +432,7 @@ def _tautology(f: OuterFormula, branch_cap: int) -> Optional[int]:
             atom = atom[1]
         pending.append(_assign(node, atom, True))
         pending.append(_assign(node, atom, False))
-    return len(index)
-
-
-def match_tautology(f: OuterFormula, branch_cap: int = DEFAULT_BRANCH_CAP) -> bool:
-    """Whether ``f`` is classically valid with distinct atoms as independent
-    booleans; see ``_tautology`` for the method and the budget."""
-    return _tautology(f, branch_cap) is not None
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -579,26 +540,21 @@ class ProofBuilder:
         return self._append(self.theory[index], Hyp(index))
 
     def axiom(self, formula: OuterFormula) -> int:
-        found = match_axiom(formula, self.kind)
-        if found is None:
+        schema = match_axiom(formula, self.kind)
+        if schema is None:
             raise ValueError(f"not an axiom instance: {render(formula)}")
-        return self._append(formula, AxiomInst(found[0], found[1]))
+        return self._append(formula, AxiomInst(schema))
 
     def taut(self, formula: OuterFormula) -> int:
-        atoms = _tautology(formula, DEFAULT_BRANCH_CAP)
-        if atoms is None:
+        if not match_tautology(formula):
             raise ValueError(f"not a tautology instance: {render(formula)}")
-        return self._append(formula, Taut(atoms))
+        return self._append(formula, Taut())
 
     def mp(self, minor: int, major: int) -> int:
         shape = implication_parts(self.lines[major].formula)
         if shape is None or shape[0] != self.lines[minor].formula:
             raise ValueError("modus ponens premises do not fit")
-        conclusion = shape[1]
-        existing = self._index.get(conclusion)
-        if existing is not None:
-            return existing
-        return self._append(conclusion, MP(minor, major))
+        return self._append(shape[1], MP(minor, major))
 
     def infer(self, line: int, target: OuterFormula) -> int:
         """Derive ``target`` from an earlier line: the axiom instance
@@ -765,15 +721,10 @@ def _just_to_dict(just: Justification) -> dict:
     if isinstance(just, Hyp):
         return {"kind": "hyp", "args": {"index": just.index}}
     if isinstance(just, AxiomInst):
-        args: dict = {}
-        if just.schema is not None:
-            args["schema"] = just.schema
-        if just.params:
-            args["params"] = [str(p) for p in just.params]
+        args = {} if just.schema is None else {"schema": just.schema}
         return {"kind": "axiom", "args": args}
     if isinstance(just, Taut):
-        args = {} if just.atoms is None else {"atoms": just.atoms}
-        return {"kind": "taut", "args": args}
+        return {"kind": "taut", "args": {}}
     if isinstance(just, MP):
         return {"kind": "mp", "args": {"minor": just.minor, "major": just.major}}
     raise TypeError(f"unknown justification {just!r}")
@@ -817,7 +768,7 @@ def _just_from_dict(d, lineno: int) -> Justification:
             raise ValueError(f"proof line {lineno}: schema must be a string, got {schema!r}")
         return AxiomInst(schema)
     if kind == "taut":
-        return Taut(_int_arg(args, "atoms", lineno) if "atoms" in args else None)
+        return Taut()
     if kind == "mp":
         if "minor" not in args or "major" not in args:
             raise ValueError(f"proof line {lineno}: mp needs minor and major")
@@ -829,7 +780,9 @@ def parse_proof_script(text: str, theory: Sequence[OuterFormula]) -> Proof:
     """Parse a JSON-lines proof script against a theory.
 
     Malformed JSON, formulas, or justification shapes raise ValueError; the
-    logical content is judged later by ``check_proof``.
+    logical content is judged later by ``check_proof``.  Proof files written
+    with ``params`` on axiom lines or ``atoms`` on tautology lines still
+    parse; both keys are ignored.
     """
     lines = []
     for lineno, raw in enumerate(text.splitlines()):
@@ -840,6 +793,8 @@ def parse_proof_script(text: str, theory: Sequence[OuterFormula]) -> Proof:
             obj = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise ValueError(f"proof line {lineno}: bad JSON ({exc.msg})") from None
+        except RecursionError:
+            raise ValueError(f"proof line {lineno}: JSON nested too deeply") from None
         if not isinstance(obj, dict) or "formula" not in obj or "just" not in obj:
             raise ValueError(f"proof line {lineno}: expected formula and just fields")
         if not isinstance(obj["formula"], str):

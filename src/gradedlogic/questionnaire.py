@@ -112,6 +112,8 @@ def load_spec(path) -> QuestionnaireSpec:
             data = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc.msg})") from None
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     return spec_from_dict(data)
 
 
@@ -142,27 +144,30 @@ def ingest_answers(path, spec: QuestionnaireSpec) -> list:
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty answers file") from None
-        if not header or header[0] != "respondent":
-            raise ValueError(f"{path}: first header column must be 'respondent'")
-        columns = header[1:]
-        if set(columns) != set(spec.item_ids) or len(columns) != len(spec.item_ids):
-            raise ValueError(
-                f"{path}: header columns {columns} do not match the items"
-            )
-        sheets = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(columns) + 1:
-                raise ValueError(f"{path}: line {lineno} has {len(row)} cells")
             try:
-                raw = {c: int(cell) for c, cell in zip(columns, row[1:])}
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno} has a non-integer cell") from None
-            sheets.append(sheet_from_raw(spec, row[0], raw))
+                header = next(reader)
+            except StopIteration:
+                raise ValueError(f"{path}: empty answers file") from None
+            if not header or header[0] != "respondent":
+                raise ValueError(f"{path}: first header column must be 'respondent'")
+            columns = header[1:]
+            if set(columns) != set(spec.item_ids) or len(columns) != len(spec.item_ids):
+                raise ValueError(
+                    f"{path}: header columns {columns} do not match the items"
+                )
+            sheets = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != len(columns) + 1:
+                    raise ValueError(f"{path}: line {lineno} has {len(row)} cells")
+                try:
+                    raw = {c: int(cell) for c, cell in zip(columns, row[1:])}
+                except ValueError:
+                    raise ValueError(f"{path}: line {lineno} has a non-integer cell") from None
+                sheets.append(sheet_from_raw(spec, row[0], raw))
+        except csv.Error as exc:  # e.g. a cell above the field size limit
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return sheets
 
 

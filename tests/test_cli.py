@@ -370,6 +370,57 @@ class TestCheckProofCommand:
         assert err.startswith("error: proof line 0:")
 
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+class TestOlderProofFiles:
+    """Proof files written before ``params`` and ``atoms`` left the format
+    (the pinned weaken chain and a score derivation at n = 2) still check."""
+
+    @pytest.mark.parametrize("name", ["weaken_chain", "score_n2"])
+    def test_accepted_by_library_and_cli(self, name, capsys):
+        theory_path = FIXTURES / f"{name}.lgi"
+        proof_path = FIXTURES / f"{name}.proof.jsonl"
+        text = proof_path.read_text(encoding="utf-8")
+        assert '"params"' in text and '"atoms"' in text
+        theory = parse_theory(theory_path.read_text(encoding="utf-8"))
+        assert check_proof(theory, parse_proof_script(text, theory)).accepted
+        code, out, _ = run(capsys, "check-proof", "--theory", str(theory_path),
+                           "--proof", str(proof_path))
+        assert (code, out) == (0, "accepted\n")
+
+
+def _malformed_inputs(tmp_path, case):
+    """argv for a command whose input only a parser's own limit can refuse."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(DEMO_SPEC), encoding="utf-8")
+    answers = tmp_path / "answers.csv"
+    answers.write_text("respondent,m1,m2\nalice,4,2\n", encoding="utf-8")
+    deep = "[" * 100_000 + "\n"
+    out = str(tmp_path / "r.jsonl")
+    if case == "proof-deep-json":
+        theory = tmp_path / "theory.lgi"
+        theory.write_text("p ->[1] p\n", encoding="utf-8")
+        proof = tmp_path / "proof.jsonl"
+        proof.write_text(deep, encoding="utf-8")
+        return ("check-proof", "--theory", str(theory), "--proof", str(proof))
+    if case == "spec-deep-json":
+        spec.write_text(deep, encoding="utf-8")
+    else:
+        answers.write_text("respondent,m1,m2\n" + "x" * 200_000 + ",4,2\n",
+                           encoding="utf-8")
+    return ("score", "--spec", str(spec), "--answers", str(answers), "--out", out)
+
+
+@pytest.mark.parametrize("case", ["proof-deep-json", "spec-deep-json",
+                                  "answers-huge-cell"])
+def test_parser_limits_are_usage_errors(case, capsys, tmp_path):
+    code, out, err = run(capsys, *_malformed_inputs(tmp_path, case))
+    assert code == 2
+    assert not out
+    assert err.startswith("error:")
+
+
 CANONICAL_THEORY = """\
 ((!((d, 1)) \\/ ((p1, 1) /\\ (p2, 1))) /\\ (!(((p1, 1) /\\ (p2, 1))) \\/ (d, 1)))
 ((!((d, 0)) \\/ ((p1, 0) /\\ (p2, 0))) /\\ (!(((p1, 0) /\\ (p2, 0))) \\/ (d, 0)))
@@ -738,9 +789,9 @@ class TestPinnedCliBytes:
         assert Path("reports.jsonl").read_bytes() == PINNED_REPORTS.encode()
         digests = {
             "reports.alice.proof.jsonl":
-                "a1d38ba1101acb146d5dea88dd08da13b75fbf0145a6290cbb5dd1448785c77c",
+                "1cd76195ea30f68e14d6ea99b149e8e39b24aa2b038fbc37e50e137dead1af76",
             "reports.bob.proof.jsonl":
-                "52177e753387a125b5d986b4aee1cf564dbc27d0aa2128ef03220f589b7099a8",
+                "4cbc4b43c6bcde11067b6931daa127a5afad0bbae1988e75b3e7a539afc62653",
         }
         for name, digest in digests.items():
             assert hashlib.sha256(Path(name).read_bytes()).hexdigest() == digest

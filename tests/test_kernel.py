@@ -99,11 +99,7 @@ class TestSchemaRecognition:
             Atom(gi(P, Q, Fraction(7, 10))), Atom(gi(Q, R, Fraction(4, 5)))
         )
         inst = outer_implies(prem, Atom(gi(P, R, Fraction(1, 2))))
-        found = match_axiom(inst)
-        assert found is not None
-        name, params = found
-        assert name == "trans1"
-        assert set(params) == {Fraction(7, 10), Fraction(4, 5)}
+        assert match_axiom(inst) == "trans1"
 
     def test_strong_schemas_follow_session_tnorm(self):
         c, d = Fraction(7, 10), Fraction(6, 10)
@@ -143,79 +139,76 @@ class TestSchemaRecognition:
             match_schema(Atom(gi(P, P, 1)), "mystery")
 
 
-# One hand-written instance per schema with the (name, params) the kernel
-# reports for it.  Params are serialised into proof files, so their values
-# and order are part of the output format.
+# One hand-written instance per schema; the kernel must name that schema
+# for it, both by catalogue search and when asked for it by name.
 PINNED_INSTANCES = [
-    ("and1", r"(!(p ->[2/3] q /\ p ->[2/3] r) \/ p ->[2/3] (q & r))", ("2/3",)),
-    ("and2", "(p & q) ->[1] p", ()),
-    ("and3", "(p & q) ->[1] q", ()),
-    ("or1", r"(!(p ->[1/4] r /\ q ->[1/4] r) \/ (p | q) ->[1/4] r)", ("1/4",)),
-    ("or2", "p ->[1] (p | q)", ()),
-    ("or3", "q ->[1] (p | q)", ()),
-    ("strong1", r"(!(top ->[7/10] p /\ top ->[3/5] q) \/ top ->[3/10] (p * q))",
-     ("7/10", "3/5")),
-    ("strong2", r"(!(p ->[1/5] bot /\ q ->[1/2] bot) \/ (p * q) ->[7/10] bot)",
-     ("1/5", "1/2")),
-    ("strong3", "top ->[1] (top * top)", ()),
-    ("neg1", r"(!(p ->[3/4] q) \/ ~q ->[3/4] ~p)", ("3/4",)),
-    ("neg2", "~~p ->[1] p", ()),
-    ("neg3", "p ->[1] ~~p", ()),
-    ("top", "p ->[1] top", ()),
-    ("bot", "bot ->[1] p", ()),
-    ("zero", "p ->[0] q", ()),
-    ("refl", "p ->[2/5] p", ("2/5",)),
-    ("inkons", "!(top ->[1/3] bot)", ("1/3",)),
-    ("trans1", r"(!(p ->[7/10] q /\ q ->[4/5] r) \/ p ->[1/2] r)", ("7/10", "4/5")),
-    ("trans2", r"(!(p ->[1/5] bot /\ top ->[1/2] q) \/ p ->[7/10] q)", ("1/5", "1/2")),
-    ("lin1", r"(p ->[1] q \/ q ->[1] p)", ()),
-    ("lin2", r"(top ->[1/3] p \/ p ->[2/3] bot)", ("1/3",)),
+    ("and1", r"(!(p ->[2/3] q /\ p ->[2/3] r) \/ p ->[2/3] (q & r))"),
+    ("and2", "(p & q) ->[1] p"),
+    ("and3", "(p & q) ->[1] q"),
+    ("or1", r"(!(p ->[1/4] r /\ q ->[1/4] r) \/ (p | q) ->[1/4] r)"),
+    ("or2", "p ->[1] (p | q)"),
+    ("or3", "q ->[1] (p | q)"),
+    ("strong1", r"(!(top ->[7/10] p /\ top ->[3/5] q) \/ top ->[3/10] (p * q))"),
+    ("strong2", r"(!(p ->[1/5] bot /\ q ->[1/2] bot) \/ (p * q) ->[7/10] bot)"),
+    ("strong3", "top ->[1] (top * top)"),
+    ("neg1", r"(!(p ->[3/4] q) \/ ~q ->[3/4] ~p)"),
+    ("neg2", "~~p ->[1] p"),
+    ("neg3", "p ->[1] ~~p"),
+    ("top", "p ->[1] top"),
+    ("bot", "bot ->[1] p"),
+    ("zero", "p ->[0] q"),
+    ("refl", "p ->[2/5] p"),
+    ("inkons", "!(top ->[1/3] bot)"),
+    ("trans1", r"(!(p ->[7/10] q /\ q ->[4/5] r) \/ p ->[1/2] r)"),
+    ("trans2", r"(!(p ->[1/5] bot /\ top ->[1/2] q) \/ p ->[7/10] q)"),
+    ("lin1", r"(p ->[1] q \/ q ->[1] p)"),
+    ("lin2", r"(top ->[1/3] p \/ p ->[2/3] bot)"),
     ("mean_trans1",
-     r"(!((p ->[1/2] r /\ q ->[3/4] s) /\ r, s ->[9/10] t) \/ p, q ->[21/40] t)",
-     ("1/2", "3/4", "9/10")),
-    ("mean_trans2", r"(!(p, q ->[3/5] r /\ r ->[4/5] s) \/ p, q ->[2/5] s)",
-     ("3/5", "4/5")),
+     r"(!((p ->[1/2] r /\ q ->[3/4] s) /\ r, s ->[9/10] t) \/ p, q ->[21/40] t)"),
+    ("mean_trans2", r"(!(p, q ->[3/5] r /\ r ->[4/5] s) \/ p, q ->[2/5] s)"),
     ("mean_trans3",
-     r"(!((p ->[1/4] bot /\ q ->[1/2] bot) /\ top ->[1/8] r) \/ p, q ->[1/2] r)",
-     ("1/4", "1/2", "1/8")),
-    ("mean_top", r"(!(top, top, top ->[5/6] p) \/ top ->[5/6] p)", ("5/6",)),
+     r"(!((p ->[1/4] bot /\ q ->[1/2] bot) /\ top ->[1/8] r) \/ p, q ->[1/2] r)"),
+    ("mean_top", r"(!(top, top, top ->[5/6] p) \/ top ->[5/6] p)"),
 ]
+
+
+def _weaken_chain():
+    b = ProofBuilder((Atom(GradedImplication((P, Q), R, Fraction(3, 4))),))
+    line = b.hyp(0)
+    for target in (Fraction(2, 3), Fraction(1, 2), Fraction(1, 5), 0):
+        line = b.weaken(line, target)
+    return b.build()
 
 
 class TestPinnedOutputs:
     """Recogniser results and proof bytes that must not drift."""
 
     def test_every_schema_is_pinned_once(self):
-        assert tuple(name for name, _, _ in PINNED_INSTANCES) == SCHEMA_NAMES
+        assert tuple(name for name, _ in PINNED_INSTANCES) == SCHEMA_NAMES
 
-    @pytest.mark.parametrize("schema, text, params", PINNED_INSTANCES,
+    @pytest.mark.parametrize("schema, text", PINNED_INSTANCES,
                              ids=[row[0] for row in PINNED_INSTANCES])
-    def test_instance_params(self, schema, text, params):
+    def test_instance_params(self, schema, text):
         f = parse_formula(text)
-        expected = tuple(Fraction(p) for p in params)
-        assert match_axiom(f) == (schema, expected)
-        assert match_schema(f, schema) == expected
+        assert match_axiom(f) == schema
+        assert match_schema(f, schema) == schema
 
     @pytest.mark.parametrize("answers, digest", [
-        ("2/3", "237107645816897bb600e90e122345ddf149981b4078955a393d3d98bfe965c4"),
+        ("2/3", "ab6b958e69897274562bfbda7ac2a319193c68e272775fd4b057e86e67fe3b68"),
         ("1 3/4 1/2 1/4",
-         "d8712b4cfa83a36a9d11ce0f89b3e3a6a1643344814abc6d6cbc11b8e1b7a0ef"),
+         "6fd60bc1707bab34ececc88dd0c17dee1b21437da1218a1230615972e119284a"),
         ("0 1/4 1/2 3/4 1 0 1/4 1/2 3/4",
-         "0b2ab9f852df6370c64249e2f4954ff19ecce8a7bd8cfcaf71dc4e81849ce2e0"),
-    ])
+         "522b82117bd7a72b603e0f663d4efcbf9cbaf1cfa7bef80dd7a4d92f1fadc61c"),
+    ], ids=["n1", "n4", "n9"])
     def test_score_derivation_bytes(self, answers, digest):
         grades = [Fraction(a) for a in answers.split()]
         text = proof_to_json_lines(build_score_derivation(len(grades), grades))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_weaken_chain_bytes(self):
-        b = ProofBuilder((Atom(GradedImplication((P, Q), R, Fraction(3, 4))),))
-        line = b.hyp(0)
-        for target in (Fraction(2, 3), Fraction(1, 2), Fraction(1, 5), 0):
-            line = b.weaken(line, target)
-        text = proof_to_json_lines(b.build())
+        text = proof_to_json_lines(_weaken_chain())
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "4703e5e18eca5c05b940bcefc0e5a72fcd56903a3c76fdd37b543fb21001524f"
+            "3d219d53ee5c0727aac6e92a151aabf156a086af7a02da4cc6309c9c1f06077d"
         )
 
 
@@ -388,9 +381,9 @@ class TestTautologies:
         assert match_tautology(f)
 
 
-def _truth_table(f) -> tuple:
+def _truth_table(f) -> bool:
     """Oracle: whether every row of the classical truth table over f's atoms
-    is true, and how many atoms it has."""
+    is true."""
     atoms: list = []
 
     def collect(g):
@@ -416,7 +409,7 @@ def _truth_table(f) -> tuple:
     return all(
         value(f, dict(zip(atoms, bits)))
         for bits in itertools.product((False, True), repeat=len(atoms))
-    ), len(atoms)
+    )
 
 
 def _random_outer(rng: random.Random, pool: list, depth: int):
@@ -449,14 +442,14 @@ class TestTautologyDifferential:
                     outer_implies(OAnd(x, outer_implies(x, y)), y),
                     outer_implies(x, outer_implies(y, OAnd(x, y))),
                 )[i % 3]
-            expected, atom_count = _truth_table(f)
+            expected = _truth_table(f)
             assert match_tautology(f) == expected, render(f)
             assert expected or i < 2000, render(f)
             if expected:
                 random_valid += i < 2000
                 b = ProofBuilder(())
                 b.taut(f)
-                assert b.lines[-1].just == Taut(atom_count)
+                assert b.lines[-1].just == Taut()
         # both verdicts occur among the random formulas
         assert 50 <= random_valid <= 1950
 
@@ -522,8 +515,7 @@ class TestCheckProof:
         # the mean schema must still be accepted
         prem = OAnd(Atom(gi(P, Q, Fraction(1, 2))), Atom(gi(Q, R, 1)))
         inst = outer_implies(prem, Atom(gi(P, R, Fraction(1, 2))))
-        found = match_axiom(inst)
-        assert found is not None and found[0] == "trans1"
+        assert match_axiom(inst) == "trans1"
         proof = Proof((), (ProofLine(inst, AxiomInst("mean_trans1")),))
         assert check_proof((), proof).accepted
 
@@ -643,7 +635,7 @@ class TestProofBuilder:
         b = ProofBuilder(theory)
         line = b.infer(b.hyp(0), Atom(gi(Neg(Q), Neg(P), Fraction(3, 4))))
         assert [row.just for row in b.lines] == [
-            Hyp(0), AxiomInst("neg1", (Fraction(3, 4),)), MP(0, 1),
+            Hyp(0), AxiomInst("neg1"), MP(0, 1),
         ]
         assert b.lines[line].formula == Atom(gi(Neg(Q), Neg(P), Fraction(3, 4)))
         assert check_proof(theory, b.build()).accepted
@@ -800,25 +792,15 @@ class TestScoreDerivation:
 
 class TestProofSerialisation:
     def test_json_round_trip(self):
-        # formulas, justification kinds and all indices survive the trip;
-        # recogniser params are advisory and are not serialised back
-        proof = build_score_derivation(
-            3, [Fraction(1, 3), Fraction(2, 3), Fraction(1)]
-        )
-        text = proof_to_json_lines(proof)
-        again = parse_proof_script(text, proof.theory)
-        assert len(again.lines) == len(proof.lines)
-        for ours, theirs in zip(proof.lines, again.lines):
-            assert ours.formula == theirs.formula
-            assert type(ours.just) is type(theirs.just)
-            if isinstance(ours.just, Hyp):
-                assert ours.just == theirs.just
-            if isinstance(ours.just, MP):
-                assert ours.just == theirs.just
-            if isinstance(ours.just, AxiomInst):
-                assert ours.just.schema == theirs.just.schema
-        assert check_proof(proof.theory, again).accepted
-        assert again.conclusion == proof.conclusion
+        # a proof file holds exactly what a Proof holds
+        proofs = [
+            build_score_derivation(n, [Fraction(i % 4, 3) for i in range(n)])
+            for n in (1, 4, 9)
+        ] + [_weaken_chain(), self._mixed_proof()]
+        for proof in proofs:
+            again = parse_proof_script(proof_to_json_lines(proof), proof.theory)
+            assert again == proof
+            assert check_proof(proof.theory, again).accepted
 
     def test_all_justification_kinds_survive(self):
         proof = self._mixed_proof()
