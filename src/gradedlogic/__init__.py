@@ -36,7 +36,6 @@ from .kernel import (
     parse_proof_script,
     proof_to_json_lines,
     score_theory,
-    tau_formulas,
     verdict_to_dict,
     SCHEMA_NAMES,
 )

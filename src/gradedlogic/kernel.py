@@ -59,8 +59,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import ResourceLimitError
 from .grades import (
@@ -490,25 +489,6 @@ def check_proof(
 
 
 # ---------------------------------------------------------------------------
-# Grade bracketing
-# ---------------------------------------------------------------------------
-
-
-def tau_formulas(alpha: BasicExpr, c, denominators: Iterable[int]) -> list:
-    """Formulas pinning a degree from below and above on the given grids.
-
-    For every grid value t strictly below ``c`` this emits ``top ->[t] alpha``
-    and for every t strictly above, ``alpha ->[1-t] bot``; together they say
-    the degree of ``alpha`` is exactly ``c`` as far as the grids can see.
-    """
-    c = as_grade(c)
-    ts = sorted({Fraction(i, q) for q in denominators for i in range(q + 1)})
-    lower = [_unit(Top(), alpha, t) for t in ts if t < c]
-    upper = [_unit(alpha, Bottom(), negate(t)) for t in ts if t > c]
-    return lower + upper
-
-
-# ---------------------------------------------------------------------------
 # Proof construction
 # ---------------------------------------------------------------------------
 
@@ -717,17 +697,16 @@ def _derive_negtop_to_bot(b: ProofBuilder) -> int:
 # ---------------------------------------------------------------------------
 
 
+_JUST_KINDS = {Hyp: "hyp", AxiomInst: "axiom", Taut: "taut", MP: "mp"}
+
+
 def _just_to_dict(just: Justification) -> dict:
-    if isinstance(just, Hyp):
-        return {"kind": "hyp", "args": {"index": just.index}}
-    if isinstance(just, AxiomInst):
-        args = {} if just.schema is None else {"schema": just.schema}
-        return {"kind": "axiom", "args": args}
-    if isinstance(just, Taut):
-        return {"kind": "taut", "args": {}}
-    if isinstance(just, MP):
-        return {"kind": "mp", "args": {"minor": just.minor, "major": just.major}}
-    raise TypeError(f"unknown justification {just!r}")
+    """The script form of ``just``; an undeclared schema is left out."""
+    kind = _JUST_KINDS.get(type(just))
+    if kind is None:
+        raise TypeError(f"unknown justification {just!r}")
+    args = {name: value for name, value in vars(just).items() if value is not None}
+    return {"kind": kind, "args": args}
 
 
 def proof_to_json_lines(proof: Proof) -> str:
@@ -795,6 +774,8 @@ def parse_proof_script(text: str, theory: Sequence[OuterFormula]) -> Proof:
             raise ValueError(f"proof line {lineno}: bad JSON ({exc.msg})") from None
         except RecursionError:
             raise ValueError(f"proof line {lineno}: JSON nested too deeply") from None
+        except ValueError as exc:  # e.g. an integer past the digit limit
+            raise ValueError(f"proof line {lineno}: {exc}") from None
         if not isinstance(obj, dict) or "formula" not in obj or "just" not in obj:
             raise ValueError(f"proof line {lineno}: expected formula and just fields")
         if not isinstance(obj["formula"], str):

@@ -114,6 +114,8 @@ def load_spec(path) -> QuestionnaireSpec:
             raise ValueError(f"{path}: not valid JSON ({exc.msg})") from None
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
+        except ValueError as exc:  # e.g. an integer past the digit limit
+            raise ValueError(f"{path}: {exc}") from None
     return spec_from_dict(data)
 
 
@@ -140,8 +142,9 @@ def sheet_from_raw(spec: QuestionnaireSpec, respondent: str,
 
 
 def ingest_answers(path, spec: QuestionnaireSpec) -> list:
-    """Read an answers CSV: header ``respondent,<item ids...>``, integer cells."""
-    with open(path, encoding="utf-8", newline="") as handle:
+    """Read an answers CSV: header ``respondent,<item ids...>``, integer cells.
+    A leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped."""
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
             try:

@@ -19,12 +19,14 @@ atom kinds never mix inside one formula.
 
 The grammar is deliberately precedence-free: one unparenthesised binary
 operator is allowed per level, chains must be parenthesised.  ``render``
-produces a canonical fully parenthesised form, and ``parse`` of that form
-returns a structurally equal tree.  Grades are parsed to exact rationals;
-antecedent lists are kept as canonically sorted multisets (``multiset``).
-The grid search and the prototype regions compile formulas through one
-``compile_outer``, given their atom compilers; the kernel and the canonical
-theory recogniser flatten conjunctions through one ``conjuncts``.
+produces a canonical fully parenthesised form through one table keyed by
+node class, and ``parse`` of that form returns a structurally equal tree.
+Grades are parsed to exact rationals; antecedent lists are kept as
+canonically sorted multisets (``multiset``).  The grid search and the
+prototype regions compile formulas through one ``compile_outer``, given
+their atom compilers; the kernel and the canonical theory recogniser
+flatten conjunctions through one ``conjuncts``; ``atoms`` yields the atoms
+left to right.
 """
 
 from __future__ import annotations
@@ -32,22 +34,24 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .grades import Grade, as_grade
+
+class _Syntax:
+    """Base of every syntax node: ``str`` is the canonical text."""
+
+    def __str__(self) -> str:
+        return render(self)
+
 
 # ---------------------------------------------------------------------------
 # Basic expressions
 # ---------------------------------------------------------------------------
 
 
-class BasicExpr:
+class BasicExpr(_Syntax):
     """Base class for the inner, degree-valued expression level."""
-
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        return render(self)
 
 
 @dataclass(frozen=True)
@@ -100,7 +104,7 @@ class Neg(BasicExpr):
 
 
 @dataclass(frozen=True)
-class GradedImplication:
+class GradedImplication(_Syntax):
     """A crisp claim: the antecedent mean exceeds the consequent by at most 1 - grade.
 
     Antecedents form a multiset; the constructor sorts them into a canonical
@@ -119,9 +123,6 @@ class GradedImplication:
         object.__setattr__(self, "antecedents", multiset(ants))
         object.__setattr__(self, "grade", as_grade(self.grade))
 
-    def __str__(self) -> str:
-        return render(self)
-
 
 def multiset(exprs: Iterable[BasicExpr]) -> tuple:
     """``exprs`` in the canonical order of an implication's antecedents."""
@@ -137,19 +138,15 @@ def gi(antecedents: Union[BasicExpr, Iterable[BasicExpr]], consequent: BasicExpr
 
 
 @dataclass(frozen=True)
-class GradedVariable:
+class GradedVariable(_Syntax):
     """An atom asserting that a variable takes a degree exactly."""
 
     var: str
     grade: Grade
 
     def __post_init__(self):
-        if not _IDENT_RE.fullmatch(self.var) or self.var in ("top", "bot"):
-            raise ValueError(f"invalid variable name {self.var!r}")
+        Var(self.var)  # the name rules of a variable
         object.__setattr__(self, "grade", as_grade(self.grade))
-
-    def __str__(self) -> str:
-        return render(self)
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +154,8 @@ class GradedVariable:
 # ---------------------------------------------------------------------------
 
 
-class OuterFormula:
+class OuterFormula(_Syntax):
     """Base class for the outer, two-valued formula level."""
-
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        return render(self)
 
 
 @dataclass(frozen=True)
@@ -236,20 +228,25 @@ def compile_outer(f: OuterFormula, atom: Callable) -> Callable:
     return lambda x: left(x) or right(x)
 
 
-def atom_kinds(f: OuterFormula) -> frozenset:
-    """The set of atom kinds ("implication" / "variable") occurring in ``f``."""
-    if isinstance(f, Atom):
-        kind = "implication" if isinstance(f.content, GradedImplication) else "variable"
-        return frozenset((kind,))
-    if isinstance(f, ONot):
-        return atom_kinds(f.operand)
-    if isinstance(f, (OAnd, OOr)):
-        return atom_kinds(f.left) | atom_kinds(f.right)
-    raise TypeError(f"not an outer formula: {f!r}")
+def atoms(f: OuterFormula) -> Iterator:
+    """The contents of the atoms of ``f``, left to right."""
+    pending = [f]
+    while pending:
+        g = pending.pop()
+        if isinstance(g, Atom):
+            yield g.content
+        elif isinstance(g, ONot):
+            pending.append(g.operand)
+        elif isinstance(g, (OAnd, OOr)):
+            pending += (g.right, g.left)
+        else:
+            raise TypeError(f"not an outer formula: {g!r}")
 
 
 def _check_homogeneous(f: OuterFormula) -> None:
-    if len(atom_kinds(f)) > 1:
+    # Each side was checked when it was built, so one atom stands for it.
+    left, right = next(atoms(f.left)), next(atoms(f.right))
+    if isinstance(left, GradedImplication) != isinstance(right, GradedImplication):
         raise ValueError("mixed atom kinds within one formula")
 
 
@@ -266,68 +263,48 @@ def vars_of_basic(e: BasicExpr) -> set:
 
 
 def vars_of_formula(f: OuterFormula) -> set:
-    if isinstance(f, Atom):
-        if isinstance(f.content, GradedVariable):
-            return {f.content.var}
-        names: set = set()
-        for ant in f.content.antecedents:
-            names |= vars_of_basic(ant)
-        return names | vars_of_basic(f.content.consequent)
-    if isinstance(f, ONot):
-        return vars_of_formula(f.operand)
-    if isinstance(f, (OAnd, OOr)):
-        return vars_of_formula(f.left) | vars_of_formula(f.right)
-    raise TypeError(f"not an outer formula: {f!r}")
+    names: set = set()
+    for content in atoms(f):
+        if isinstance(content, GradedVariable):
+            names.add(content.var)
+        else:
+            for e in (*content.antecedents, content.consequent):
+                names |= vars_of_basic(e)
+    return names
 
 
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
 
-_BASIC_OPS = {And: "&", Or: "|", Strong: "*"}
-
 
 def render(x) -> str:
     """Canonical concrete text; ``parse_*`` of the result reproduces ``x``."""
-    if isinstance(x, BasicExpr):
-        return _render_basic(x)
-    if isinstance(x, GradedImplication):
-        ants = ", ".join(_render_basic(a) for a in x.antecedents)
-        return f"{ants} ->[{x.grade}] {_render_basic(x.consequent)}"
-    if isinstance(x, GradedVariable):
-        return f"({x.var}, {x.grade})"
-    if isinstance(x, OuterFormula):
-        return _render_formula(x)
-    raise TypeError(f"cannot render {x!r}")
+    rule = _RENDER.get(type(x))
+    if rule is None:
+        raise TypeError(f"cannot render {x!r}")
+    return rule(x)
 
 
-def _render_basic(e: BasicExpr) -> str:
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Top):
-        return "top"
-    if isinstance(e, Bottom):
-        return "bot"
-    if isinstance(e, Neg):
-        return "~" + _render_basic(e.expr)
-    op = _BASIC_OPS.get(type(e))
-    if op is not None:
-        return f"({_render_basic(e.left)} {op} {_render_basic(e.right)})"
-    raise TypeError(f"not a basic expression: {e!r}")
-
-
-def _render_formula(f: OuterFormula) -> str:
-    if isinstance(f, Atom):
-        return render(f.content)
-    if isinstance(f, ONot):
-        if isinstance(f.operand, Atom):
-            return f"!({_render_formula(f.operand)})"
-        return "!" + _render_formula(f.operand)
-    if isinstance(f, OAnd):
-        return f"({_render_formula(f.left)} /\\ {_render_formula(f.right)})"
-    if isinstance(f, OOr):
-        return f"({_render_formula(f.left)} \\/ {_render_formula(f.right)})"
-    raise TypeError(f"not an outer formula: {f!r}")
+# Exact node class -> its rendering.  Every binary node is bracketed, and a
+# negated atom too, so the text parses back without precedence rules.
+_RENDER = {
+    Var: lambda e: e.name,
+    Top: lambda e: "top",
+    Bottom: lambda e: "bot",
+    Neg: lambda e: "~" + render(e.expr),
+    And: lambda e: f"({render(e.left)} & {render(e.right)})",
+    Or: lambda e: f"({render(e.left)} | {render(e.right)})",
+    Strong: lambda e: f"({render(e.left)} * {render(e.right)})",
+    GradedImplication: lambda g: (f"{', '.join(map(render, g.antecedents))}"
+                                  f" ->[{g.grade}] {render(g.consequent)}"),
+    GradedVariable: lambda v: f"({v.var}, {v.grade})",
+    Atom: lambda f: render(f.content),
+    ONot: lambda f: (f"!({render(f.operand)})" if isinstance(f.operand, Atom)
+                     else "!" + render(f.operand)),
+    OAnd: lambda f: f"({render(f.left)} /\\ {render(f.right)})",
+    OOr: lambda f: f"({render(f.left)} \\/ {render(f.right)})",
+}
 
 
 # ---------------------------------------------------------------------------

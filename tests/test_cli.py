@@ -355,8 +355,10 @@ class TestCheckProofCommand:
         ' "just": {"kind": "hyp", "args": {"index": false}}}',
         '{"formula": "phi1, phi2 ->[1] delta",'
         ' "just": {"kind": "axiom", "args": {"schema": 7}}}',
+        '{"formula": "phi1, phi2 ->[1] delta",'
+        ' "just": {"kind": "hyp", "args": {"index": ' + "9" * 5000 + '}}}',
     ], ids=["just-number", "formula-number", "index-float", "index-bool",
-            "schema-number"])
+            "schema-number", "index-5000-digits"])
     def test_malformed_shapes_are_usage_errors(self, proof_files, capsys,
                                                tmp_path, line):
         theory, _ = proof_files

@@ -59,7 +59,6 @@ from gradedlogic import (
     satisfies_formula,
     satisfies_theory,
     score_theory,
-    tau_formulas,
     tconorm,
     tnorm,
     vars_of_formula,
@@ -568,40 +567,6 @@ class TestCheckProof:
         assert verdict.line == 1
 
 
-class TestTauFormulas:
-    def test_halves_only(self):
-        got = tau_formulas(P, Fraction(1, 2), [2])
-        assert got == [
-            Atom(gi(Top(), P, 0)),
-            Atom(gi(P, Bottom(), 0)),
-        ]
-
-    def test_two_grids(self):
-        got = tau_formulas(P, Fraction(1, 2), [2, 4])
-        assert got == [
-            Atom(gi(Top(), P, 0)),
-            Atom(gi(Top(), P, Fraction(1, 4))),
-            Atom(gi(P, Bottom(), Fraction(1, 4))),
-            Atom(gi(P, Bottom(), 0)),
-        ]
-
-    def test_extreme_degree(self):
-        got = tau_formulas(P, 1, [2])
-        assert got == [
-            Atom(gi(Top(), P, 0)),
-            Atom(gi(Top(), P, Fraction(1, 2))),
-        ]
-
-    def test_formulas_bracket_the_degree(self):
-        # strict grid neighbours of 1/2 on the {2, 4} grids are 1/4 and 3/4;
-        # probing on a finer grid shows exactly that closed interval survives
-        pins = tau_formulas(P, Fraction(1, 2), [2, 4])
-        for i in range(9):
-            ev = Evaluation({"p": Fraction(i, 8)})
-            inside = Fraction(1, 4) <= ev["p"] <= Fraction(3, 4)
-            assert satisfies_theory(ev, pins) == inside
-
-
 class TestProofBuilder:
     def test_dedup_returns_same_index(self):
         b = ProofBuilder((Atom(gi(P, Q, 1)),))
@@ -832,6 +797,15 @@ class TestProofSerialisation:
         with pytest.raises(ValueError, match="kind"):
             parse_proof_script(
                 '{"formula": "p ->[1] p", "just": {"kind": "guess"}}', ()
+            )
+        # an integer past Python's digit limit fails inside json, not as
+        # bad JSON; the line is still named
+        with pytest.raises(ValueError, match="^proof line 1: .*digits"):
+            parse_proof_script(
+                '{"formula": "p ->[1] p", "just": {"kind": "axiom"}}\n'
+                '{"formula": "p ->[1] p", "just": {"kind": "hyp", "args": '
+                '{"index": ' + "9" * 5000 + '}}}\n',
+                (),
             )
 
     def test_bad_logic_is_left_to_the_checker(self):

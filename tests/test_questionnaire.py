@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,9 @@ class TestSpec:
         bad.write_text("{nope", encoding="utf-8")
         with pytest.raises(ValueError, match="not valid JSON"):
             load_spec(bad)
+        bad.write_text('{"scale_steps": ' + "9" * 5000 + "}", encoding="utf-8")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{bad}: ") + ".*digits"):
+            load_spec(bad)
 
 
 class TestSheets:
@@ -101,6 +105,20 @@ class TestSheets:
         sheets = ingest_answers(path, SPEC)
         assert [s.respondent for s in sheets] == ["r1", "r2"]
         assert sheets[0].answers["m1"] == 1
+
+    def test_csv_with_byte_order_mark(self, tmp_path):
+        # spreadsheet exports often start with a UTF-8 byte-order mark
+        body = "respondent,m1,m2,m3,m4\nr1,4,3,2,1\nr2,0,1,0,1\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(body, encoding="utf-8")
+        marked.write_text(body, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        reports = [
+            [report_to_dict(cross_check(s, SPEC), None) for s in ingest_answers(path, SPEC)]
+            for path in (plain, marked)
+        ]
+        assert reports[0] == reports[1]
+        assert [r["respondent"] for r in reports[0]] == ["r1", "r2"]
 
     def test_csv_ingest_reordered_columns(self, tmp_path):
         path = tmp_path / "answers.csv"

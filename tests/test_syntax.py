@@ -38,7 +38,7 @@ from gradedlogic import (
     vars_of_basic,
     vars_of_formula,
 )
-from gradedlogic.syntax import MAX_NESTING
+from gradedlogic.syntax import MAX_NESTING, conjuncts
 
 from fuzz import rand_basic, rand_formula
 
@@ -85,6 +85,20 @@ class TestAstConstruction:
         rhs = Atom(GradedVariable("x", Fraction(1, 2)))
         with pytest.raises(ValueError, match="mixed atom kinds"):
             OAnd(lhs, rhs)
+
+    def test_deep_left_nested_chain(self):
+        # each side of a conjunction was checked when built, so the mixed-kind
+        # check reads one atom per side and a chain deeper than the recursion
+        # limit still builds
+        parts = [Atom(gi(Var(f"p{i}"), Var("q"), 1)) for i in range(2000)]
+        chain = parts[0]
+        for part in parts[1:]:
+            chain = OAnd(chain, part)
+        assert conjuncts(chain) == parts
+        with pytest.raises(ValueError, match="mixed atom kinds"):
+            OAnd(chain, Atom(GradedVariable("x", Fraction(1, 2))))
+        with pytest.raises(TypeError):
+            render(object())
 
     def test_outer_implies_desugars(self):
         phi = Atom(gi(Var("a"), Var("b"), 1))
