@@ -275,13 +275,14 @@ def _tnorm(value: str) -> TNormKind:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
+        "--json", action="store_true", help="print canonical JSON instead of text"
+    )
+    logic = argparse.ArgumentParser(add_help=False, parents=[common])
+    logic.add_argument(
         "--tnorm",
         type=_tnorm,
         default=TNormKind.LUKASIEWICZ,
         help="session t-norm: lukasiewicz (default), product, or min",
-    )
-    common.add_argument(
-        "--json", action="store_true", help="print canonical JSON instead of text"
     )
 
     parser = argparse.ArgumentParser(
@@ -295,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basic", action="store_true", help="treat input as a basic expression")
     p.set_defaults(handler=_cmd_parse)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate under an assignment")
+    p = sub.add_parser("eval", parents=[logic], help="evaluate under an assignment")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--formula", help="outer formula to evaluate")
     group.add_argument("--expr", help="basic expression to evaluate")
@@ -307,13 +308,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_eval)
 
-    p = sub.add_parser("entail", parents=[common], help="grid countermodel search")
+    p = sub.add_parser("entail", parents=[logic], help="grid countermodel search")
     p.add_argument("--theory", required=True, help="newline-separated formula file")
     p.add_argument("--formula", required=True, help="candidate consequence")
     p.add_argument("--grid-denominator", type=int, required=True, metavar="M")
     p.set_defaults(handler=_cmd_entail)
 
-    p = sub.add_parser("check-proof", parents=[common], help="verify a proof script")
+    p = sub.add_parser("check-proof", parents=[logic], help="verify a proof script")
     p.add_argument("--theory", required=True)
     p.add_argument("--proof", required=True, help="JSON-lines proof script")
     p.set_defaults(handler=_cmd_check_proof)
@@ -328,13 +329,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv-out", help="write the degree dump here instead of stdout")
     p.set_defaults(handler=_cmd_qcheck)
 
-    p = sub.add_parser("score", parents=[common], help="score an answers file")
+    p = sub.add_parser("score", parents=[logic], help="score an answers file")
     p.add_argument("--spec", required=True, help="questionnaire spec (JSON)")
     p.add_argument("--answers", required=True, help="answers CSV")
     p.add_argument("--out", required=True, help="reports file (JSON lines)")
     p.set_defaults(handler=_cmd_score)
 
-    p = sub.add_parser("demo", parents=[common], help="score the bundled example")
+    p = sub.add_parser("demo", parents=[logic], help="score the bundled example")
     p.set_defaults(handler=_cmd_demo)
 
     return parser

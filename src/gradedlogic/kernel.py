@@ -475,9 +475,8 @@ def check_proof(
         elif isinstance(just, MP):
             if not (0 <= just.minor < i and 0 <= just.major < i):
                 return Verdict(False, i, "modus ponens references a later or missing line")
-            major = proof.lines[just.major].formula
-            expected = outer_implies(proof.lines[just.minor].formula, line.formula)
-            if major != expected:
+            fit = (proof.lines[just.minor].formula, line.formula)
+            if implication_parts(proof.lines[just.major].formula) != fit:
                 return Verdict(
                     False, i,
                     "major premise is not the implication of the minor premise "
@@ -517,6 +516,8 @@ class ProofBuilder:
         return index
 
     def hyp(self, index: int) -> int:
+        if not 0 <= index < len(self.theory):
+            raise ValueError(f"hypothesis index {index} out of range")
         return self._append(self.theory[index], Hyp(index))
 
     def axiom(self, formula: OuterFormula) -> int:
@@ -625,7 +626,6 @@ def build_score_derivation(
         raise ValueError(f"expected {n} answers, got {len(answers)}")
     theory = score_theory(answers, items, disorder)
     lower_f = theory[0].content
-    phis = list(lower_f.antecedents)
     delta = lower_f.consequent
     d = mean(answers)
     b = ProofBuilder(theory, kind)

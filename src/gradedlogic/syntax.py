@@ -18,9 +18,11 @@ sugar for negation-plus-disjunction and disappears at parse time.  The two
 atom kinds never mix inside one formula.
 
 The grammar is deliberately precedence-free: one unparenthesised binary
-operator is allowed per level, chains must be parenthesised.  ``render``
-produces a canonical fully parenthesised form through one table keyed by
-node class, and ``parse`` of that form returns a structurally equal tree.
+operator is allowed per level, chains must be parenthesised.  The parser
+never backs up: a term opening with ``(`` is a graded variable, an
+implication or a bracketed formula, decided once from the tokens (see
+``_Parser``).  ``render`` writes a canonical fully parenthesised form
+through one table keyed by node class; parsing it gives an equal tree.
 Grades are parsed to exact rationals; antecedent lists are kept as
 canonically sorted multisets (``multiset``).  The grid search and the
 prototype regions compile formulas through one ``compile_outer``, given
@@ -32,6 +34,7 @@ left to right.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Union
@@ -313,19 +316,19 @@ _RENDER = {
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
+# One match per token; the pattern skips the whitespace before it.
 _TOKEN_RE = re.compile(
-    r"(?P<twochar>/\\|\\/|=>|->)"
-    r"|(?P<single>[()\[\],&|*~!/])"
-    r"|(?P<number>\d+(?:\.\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"\s*(?:(?P<op>/\\|\\/|=>|->|[()\[\],&|*~!/])"
+    r"|(?P<NUM>\d+(?:\.\d+)?)"
+    r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<EOF>\Z)|(?P<bad>\S))"
 )
 
+_Token = namedtuple("_Token", "kind text pos")
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
+# The tokens that can start a basic expression, and all it can hold.
+_BASIC_START = frozenset(("IDENT", "top", "bot", "~", "("))
+_BASIC_KINDS = _BASIC_START | {"&", "|", "*", ")"}
 
 
 class ParseError(ValueError):
@@ -341,26 +344,30 @@ class ParseError(ValueError):
 
 def _tokenize(text: str) -> list:
     tokens = []
-    pos = 0
-    length = len(text)
-    while pos < length:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup == "ident":
-            word = m.group()
-            kind = word if word in ("top", "bot") else "IDENT"
-        elif m.lastgroup == "number":
-            kind = "NUM"
-        else:
-            kind = m.group()
-        tokens.append(_Token(kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(_Token("EOF", "", length))
-    return tokens
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        word, pos = m[kind], m.start(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {word!r}", pos)
+        tokens.append(_Token(word if kind == "op" or word in ("top", "bot") else kind, word, pos))
+        if kind == "EOF":
+            return tokens
+
+
+def _basic_groups(tokens: list) -> set:
+    """Indices of the ``(`` whose bracket group holds only basic-expression
+    tokens, counting a group still open at the end of input."""
+    marked, opened, foreign = set(), [], 0
+    for i, tok in enumerate(tokens[:-1]):
+        if tok.kind == "(":
+            opened.append((i, foreign))
+        elif tok.kind == ")" and opened:
+            start, before = opened.pop()
+            if foreign == before:
+                marked.add(start)
+        elif tok.kind not in _BASIC_KINDS:
+            foreign += 1
+    return marked | {start for start, before in opened if before == foreign}
 
 
 # ---------------------------------------------------------------------------
@@ -377,17 +384,24 @@ limit of 1000 frames.
 """
 
 
-class _Backtrack(Exception):
-    """Internal: an alternative failed; the farthest failure is kept."""
-
-
 class _Parser:
+    """Recursive descent that never backs up.
+
+    A term opening with ``(`` is decided once, from the tokens: ``( name ,``
+    followed by a token that cannot start a basic expression is a graded
+    variable; a ``(`` whose group holds only basic-expression tokens starts
+    an implication; anything else is a bracketed formula.  No other reading
+    could succeed: an implication opening with ``(`` opens with such a
+    group, every formula holds a token no such group holds, and after
+    ``( name ,`` a formula would need an antecedent.  Each rule raises
+    ParseError at the first token it cannot accept.
+    """
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
+        self.basic_groups = _basic_groups(self.tokens)
         self.pos = 0
         self.depth = 0
-        self.best_pos = -1
-        self.best_msg = "expected input"
 
     # -- machinery ----------------------------------------------------------
 
@@ -399,18 +413,10 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def _fail(self, message: str, position: Union[int, None] = None):
-        if position is None:
-            position = self._peek().pos
-        if position > self.best_pos:
-            self.best_pos = position
-            self.best_msg = message
-        raise _Backtrack()
-
     def _expect(self, kind: str, what: str) -> _Token:
         tok = self._peek()
         if tok.kind != kind:
-            self._fail(f"expected {what}", tok.pos)
+            raise ParseError(f"expected {what}", tok.pos)
         return self._advance()
 
     def _descend(self, tok: _Token) -> None:
@@ -419,8 +425,13 @@ class _Parser:
         if self.depth > MAX_NESTING:
             raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.pos)
 
-    def _error(self) -> ParseError:
-        return ParseError(self.best_msg, max(self.best_pos, 0))
+    def _bracketed(self, inside: Callable):
+        """``( inside )``, one nesting level deeper."""
+        self._descend(self._advance())
+        node = inside()
+        self._expect(")", "')'")
+        self.depth -= 1
+        return node
 
     # -- basic expressions ---------------------------------------------------
 
@@ -452,30 +463,29 @@ class _Parser:
             self.depth -= 1
             return node
         if tok.kind == "(":
-            self._advance()
-            self._descend(tok)
-            inner = self.basic()
-            self._expect(")", "')'")
-            self.depth -= 1
-            return inner
-        self._fail("expected a basic expression", tok.pos)
+            return self._bracketed(self.basic)
+        raise ParseError("expected a basic expression", tok.pos)
 
     # -- grades ---------------------------------------------------------------
 
     def grade(self) -> Grade:
         tok = self._expect("NUM", "a grade literal")
+        den = None
         if self._peek().kind == "/":
             self._advance()
             den = self._expect("NUM", "a denominator")
             if "." in tok.text or "." in den.text:
-                self._fail("fractions take integer parts", tok.pos)
-            if int(den.text) == 0:
-                self._fail("zero denominator", den.pos)
-            value = Fraction(int(tok.text), int(den.text))
-        else:
-            value = Fraction(tok.text)
+                raise ParseError("fractions take integer parts", tok.pos)
+        try:  # int() refuses more digits than sys.get_int_max_str_digits()
+            num = Fraction(tok.text) if den is None else int(tok.text)
+            div = 1 if den is None else int(den.text)
+        except ValueError:
+            raise ParseError("grade literal has too many digits", tok.pos) from None
+        if div == 0:
+            raise ParseError("zero denominator", den.pos)
+        value = Fraction(num, div)
         if not 0 <= value <= 1:
-            self._fail("grade literal outside [0, 1]", tok.pos)
+            raise ParseError("grade literal outside [0, 1]", tok.pos)
         return value
 
     # -- atoms ----------------------------------------------------------------
@@ -493,39 +503,26 @@ class _Parser:
         return Atom(GradedImplication(tuple(antecedents), consequent, g))
 
     def q_atom(self) -> Atom:
-        self._descend(self._expect("(", "'('"))
-        name = self._expect("IDENT", "a variable")
-        self._expect(",", "','")
-        g = self.grade()
-        self._expect(")", "')'")
-        self.depth -= 1
-        return Atom(GradedVariable(name.text, g))
-
-    def paren_formula(self) -> OuterFormula:
-        self._descend(self._expect("(", "'('"))
-        inner = self.formula()
-        self._expect(")", "')'")
-        self.depth -= 1
-        return inner
+        """``name , grade``, the name and comma already seen by ``term``."""
+        self.pos += 2
+        return Atom(GradedVariable(self.tokens[self.pos - 2].text, self.grade()))
 
     # -- formulas ---------------------------------------------------------------
 
     def term(self) -> OuterFormula:
-        tok = self._peek()
+        tok, i, t = self._peek(), self.pos, self.tokens
         if tok.kind == "!":
             self._advance()
             self._descend(tok)
             node = ONot(self.term())
             self.depth -= 1
             return node
-        start, depth = self.pos, self.depth
-        attempt: Callable
-        for attempt in (self.gi_atom, self.q_atom, self.paren_formula):
-            try:
-                return attempt()
-            except _Backtrack:
-                self.pos, self.depth = start, depth
-        self._fail("expected a formula", tok.pos)
+        if tok.kind != "(" or i in self.basic_groups:
+            return self.gi_atom()
+        if (t[i + 1].kind == "IDENT" and t[i + 2].kind == ","
+                and t[i + 3].kind not in _BASIC_START):
+            return self._bracketed(self.q_atom)
+        return self._bracketed(self.formula)
 
     def formula(self) -> OuterFormula:
         left = self.term()
@@ -547,22 +544,16 @@ class _Parser:
 def parse_basic(text: str) -> BasicExpr:
     """Parse a basic expression; raises ParseError with an offset on failure."""
     parser = _Parser(text)
-    try:
-        expr = parser.basic()
-        parser._expect("EOF", "end of input")
-    except _Backtrack:
-        raise parser._error() from None
+    expr = parser.basic()
+    parser._expect("EOF", "end of input")
     return expr
 
 
 def parse_formula(text: str) -> OuterFormula:
     """Parse an outer formula (graded-implication or graded-variable atoms)."""
     parser = _Parser(text)
-    try:
-        f = parser.formula()
-        parser._expect("EOF", "end of input (parenthesise chained operators)")
-    except _Backtrack:
-        raise parser._error() from None
+    f = parser.formula()
+    parser._expect("EOF", "end of input (parenthesise chained operators)")
     return f
 
 

@@ -63,6 +63,20 @@ class TestParseCommand:
         assert not out
         assert "syntax error at offset 4" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("parse", "--tnorm", "product", "p ->[1] q"),
+        ("qcheck", "--tnorm", "min", "--theory", "t", "--dim", "1", "--grid", "1"),
+    ])
+    def test_tnorm_is_refused_where_unread(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+
+    def test_overlong_grade_literal_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "parse", "top ->[1/" + "1" * 5000 + "] q")
+        assert (code, out) == (2, "")
+        assert "offset 7: grade literal has too many digits" in err
+
 
 class TestEvalCommand:
     def test_basic_expression_by_tnorm(self, capsys):
@@ -370,6 +384,21 @@ class TestCheckProofCommand:
         assert code == 2
         assert not out
         assert err.startswith("error: proof line 0:")
+
+    def test_mp_with_mixed_atom_kinds_is_rejected(self, capsys, tmp_path):
+        theory = tmp_path / "mixed.lgi"
+        theory.write_text("p ->[1] q\n(x, 1)\n", encoding="utf-8")
+        script = tmp_path / "mixed.jsonl"
+        script.write_text("\n".join(
+            json.dumps({"formula": f, "just": j}) for f, j in [
+                ("p ->[1] q", {"kind": "hyp", "args": {"index": 0}}),
+                ("(x, 1)", {"kind": "hyp", "args": {"index": 1}}),
+                ("(x, 1)", {"kind": "mp", "args": {"minor": 0, "major": 1}}),
+            ]) + "\n", encoding="utf-8")
+        code, out, _ = run(capsys, "check-proof", "--theory", str(theory),
+                           "--proof", str(script))
+        assert code == 1
+        assert out.startswith("rejected at line 2")
 
 
 FIXTURES = Path(__file__).parent / "fixtures"

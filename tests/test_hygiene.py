@@ -1,6 +1,6 @@
 """Source hygiene that needs no linter: every module-level import in the
-package is used.  ``__init__.py`` is exempt, since its imports are the
-public re-exports."""
+package is used (``__init__.py`` is exempt, since its imports are the
+public re-exports), and every name a function assigns is read."""
 
 from __future__ import annotations
 
@@ -34,3 +34,35 @@ def test_no_unused_module_imports():
 
 def test_detects_an_unused_import():
     assert _unused_imports("import json\nfrom x import a, b as c\nc(a)\n") == ["json"]
+
+
+def _unused_locals(source: str) -> list:
+    """``function.name`` for each name a function assigns but never reads
+    (nested functions count as readers); ``_`` and names the function
+    declares ``global`` or ``nonlocal`` are exempt."""
+    unused = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        names = [n for n in ast.walk(func) if isinstance(n, ast.Name)]
+        outer = {name for n in ast.walk(func)
+                 if isinstance(n, (ast.Global, ast.Nonlocal)) for name in n.names}
+        read = {n.id for n in names if isinstance(n.ctx, ast.Load)} | outer | {"_"}
+        unused += sorted({f"{func.name}.{n.id}" for n in names
+                          if isinstance(n.ctx, ast.Store) and n.id not in read})
+    return unused
+
+
+def test_no_unused_locals():
+    unused = {
+        path.name: names
+        for path in sorted(SRC.glob("*.py"))
+        if (names := _unused_locals(path.read_text(encoding="utf-8")))
+    }
+    assert unused == {}
+
+
+def test_detects_an_unused_local():
+    source = ("def f(xs):\n    a, b = 1, 2\n    for _ in xs:\n        c = b\n"
+              "    def g():\n        return c\n    return g\n")
+    assert _unused_locals(source) == ["f.a"]

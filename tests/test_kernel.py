@@ -23,6 +23,7 @@ from gradedlogic import (
     Bottom,
     Evaluation,
     GradedImplication,
+    GradedVariable,
     Hyp,
     MP,
     Neg,
@@ -553,6 +554,14 @@ class TestCheckProof:
         verdict = check_proof((a, b), proof)
         assert not verdict.accepted and verdict.line == 2
 
+    def test_mp_with_mixed_atom_kinds_is_a_rejection(self):
+        a, x = Atom(gi(P, Q, 1)), Atom(GradedVariable("x", 1))
+        proof = Proof((a, x), (ProofLine(a, Hyp(0)), ProofLine(x, Hyp(1)),
+                               ProofLine(x, MP(0, 1))))
+        verdict = check_proof((a, x), proof)
+        assert not verdict.accepted and verdict.line == 2
+        assert verdict.reason.startswith("major premise is not the implication")
+
     def test_reports_first_failing_line(self):
         a = Atom(gi(P, Q, 1))
         proof = Proof(
@@ -589,6 +598,13 @@ class TestProofBuilder:
         i, j = b.hyp(0), b.hyp(1)
         with pytest.raises(ValueError):
             b.mp(i, j)
+
+    @pytest.mark.parametrize("index", [-1, 1])
+    def test_hyp_refuses_index_outside_theory(self, index):
+        b = ProofBuilder((Atom(gi(P, Q, 1)),))
+        with pytest.raises(ValueError, match=f"hypothesis index {index} out of range"):
+            b.hyp(index)
+        assert b.lines == []
 
     def test_axiom_rejects_non_instances(self):
         b = ProofBuilder(())
@@ -806,6 +822,12 @@ class TestProofSerialisation:
                 '{"formula": "p ->[1] p", "just": {"kind": "hyp", "args": '
                 '{"index": ' + "9" * 5000 + '}}}\n',
                 (),
+            )
+
+    def test_overlong_grade_literal_names_its_line(self):
+        with pytest.raises(ValueError, match="^proof line 0: .*offset 5: .*too many digits"):
+            parse_proof_script(
+                '{"formula": "p ->[1/' + "1" * 5000 + '] p", "just": {"kind": "axiom"}}', ()
             )
 
     def test_bad_logic_is_left_to_the_checker(self):

@@ -191,6 +191,34 @@ class TestParse:
         assert exc.value.position == 4
         assert str(exc.value).startswith("syntax error at offset 4")
 
+    @pytest.mark.parametrize("text, want", [
+        ("(p) ->[1] q", Atom(gi(Var("p"), Var("q"), 1))),
+        ("((p & q)) ->[1] r", Atom(gi(And(Var("p"), Var("q")), Var("r"), 1))),
+        ("(a, b ->[1] c)", Atom(gi((Var("a"), Var("b")), Var("c"), 1))),
+        ("((x, 1) /\\ (y, 0))",
+         OAnd(Atom(GradedVariable("x", 1)), Atom(GradedVariable("y", 0)))),
+    ])
+    def test_leading_bracket_is_decided_from_the_tokens(self, text, want):
+        assert parse_formula(text) == want
+
+    @pytest.mark.parametrize("text, offset, message", [
+        ("(p ->[1] q) & r ->[1] s", 12, "parenthesise"),
+        ("(p, /8)", 4, "expected a grade literal"),
+        ("(p & q", 6, "expected ')'"),
+    ])
+    def test_leading_bracket_errors(self, text, offset, message):
+        with pytest.raises(ParseError) as exc:
+            parse_formula(text)
+        assert exc.value.position == offset and message in exc.value.message
+
+    def test_overlong_grade_literal_is_located(self):
+        with pytest.raises(ParseError, match="too many digits") as exc:
+            parse_theory("p ->[1] q\ntop ->[1/" + "1" * 5000 + "] q\n")
+        assert (exc.value.line, exc.value.position) == (2, 7)
+        with pytest.raises(ParseError, match="too many digits") as exc:
+            parse_formula("p ->[0." + "1" * 5000 + "] q")
+        assert exc.value.position == 5
+
     def test_error_on_garbage_token(self):
         with pytest.raises(ParseError):
             parse_formula("p ->[1] q ?")
