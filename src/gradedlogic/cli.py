@@ -40,6 +40,7 @@ from .questionnaire import (
 )
 from .semantics import Evaluation, eval_basic, find_countermodel, satisfies_formula
 from .syntax import (
+    Var,
     parse_basic,
     parse_formula,
     parse_theory,
@@ -79,8 +80,10 @@ def _parse_assignments(pairs) -> dict:
     values = {}
     for pair in pairs or ():
         name, eq, raw = pair.partition("=")
-        if not eq or not name or not raw:
+        if not eq or not raw:
             raise ValueError(f"--assign needs NAME=GRADE, got {pair!r}")
+        if Var(name).name in values:  # Var refuses a non-variable name
+            raise ValueError(f"--assign sets {name} more than once")
         values[name] = as_grade(raw)
     return values
 
@@ -133,15 +136,10 @@ def _cmd_check_proof(args) -> int:
     theory = parse_theory(_read(args.theory))
     proof = parse_proof_script(_read(args.proof), theory)
     verdict = check_proof(theory, proof, args.tnorm)
-    if verdict.accepted:
-        _emit(args, verdict_to_dict(verdict), "accepted")
-        return 0
-    _emit(
-        args,
-        verdict_to_dict(verdict),
-        f"rejected at line {verdict.line}: {verdict.reason}",
-    )
-    return 1
+    where = "" if verdict.line is None else f" at line {verdict.line}"
+    text = "accepted" if verdict.accepted else f"rejected{where}: {verdict.reason}"
+    _emit(args, verdict_to_dict(verdict), text)
+    return 0 if verdict.accepted else 1
 
 
 def _degree_rows(ev, k):

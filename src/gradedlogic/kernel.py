@@ -52,13 +52,17 @@ and says whether every side condition holds.  A new schema is one
 ``_SCHEMAS`` entry, placed at its catalogue position.
 ``ProofBuilder.infer`` is the builder's one inference step: the axiom
 instance ``line => target``, then modus ponens.
+
+A proof script holds one JSON object per proof line, ``{"formula": ...,
+"just": {"kind": ..., "args": {...}}}``: ``kind`` names a justification
+class (``_JUST_KINDS``) and ``args`` holds its fields, for writer and reader.
 """
 
 from __future__ import annotations
 
 import json
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional, Sequence, Union
 
 from .errors import ResourceLimitError
@@ -351,6 +355,7 @@ def match_axiom(f: OuterFormula,
     """First schema (in catalogue order) that ``f`` instantiates; None when
     no schema applies."""
     views = _views(f)
+    kind = TNormKind(kind)
     return next((name for name in _SCHEMAS if _apply(name, views, kind)), None)
 
 
@@ -359,7 +364,7 @@ def match_schema(f: OuterFormula, schema: str,
     """``schema`` when ``f`` instantiates that one named schema, else None."""
     if schema not in _SCHEMAS:
         raise ValueError(f"unknown axiom schema {schema!r}")
-    return schema if _apply(schema, _views(f), kind) else None
+    return schema if _apply(schema, _views(f), TNormKind(kind)) else None
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +452,7 @@ def check_proof(
 ) -> Verdict:
     """Re-derive every line; the first failure yields a rejecting Verdict."""
     theory = tuple(theory)
+    kind = TNormKind(kind)
     if not proof.lines:
         return Verdict(False, None, "empty proof")
     for i, line in enumerate(proof.lines):
@@ -502,17 +508,14 @@ class ProofBuilder:
     def __init__(self, theory: Sequence[OuterFormula],
                  kind: TNormKind = TNormKind.LUKASIEWICZ):
         self.theory = tuple(theory)
-        self.kind = kind
+        self.kind = TNormKind(kind)
         self.lines: list = []
         self._index: dict = {}
 
     def _append(self, formula: OuterFormula, just: Justification) -> int:
-        existing = self._index.get(formula)
-        if existing is not None:
-            return existing
-        self.lines.append(ProofLine(formula, just))
-        index = len(self.lines) - 1
-        self._index[formula] = index
+        index = self._index.setdefault(formula, len(self.lines))
+        if index == len(self.lines):
+            self.lines.append(ProofLine(formula, just))
         return index
 
     def hyp(self, index: int) -> int:
@@ -698,6 +701,7 @@ def _derive_negtop_to_bot(b: ProofBuilder) -> int:
 
 
 _JUST_KINDS = {Hyp: "hyp", AxiomInst: "axiom", Taut: "taut", MP: "mp"}
+_JUST_CLASSES = {kind: cls for cls, kind in _JUST_KINDS.items()}
 
 
 def _just_to_dict(just: Justification) -> dict:
@@ -722,52 +726,45 @@ def proof_to_json_lines(proof: Proof) -> str:
     return "\n".join(out) + "\n"
 
 
-def _int_arg(args: dict, name: str, lineno: int) -> int:
-    """A JSON integer; floats and booleans are not line or theory indices."""
-    value = args[name]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"proof line {lineno}: {name} must be an integer, got {value!r}")
-    return value
-
-
 def _just_from_dict(d, lineno: int) -> Justification:
+    """The justification class ``kind`` names, built from its fields in
+    ``args``; keys that are not fields are ignored."""
+    where = f"proof line {lineno}"
     if not isinstance(d, dict):
-        raise ValueError(f"proof line {lineno}: just must be an object")
-    kind = d.get("kind")
-    args = d.get("args", {})
+        raise ValueError(f"{where}: just must be an object")
+    kind, args = d.get("kind"), d.get("args", {})
     if not isinstance(args, dict):
-        raise ValueError(f"proof line {lineno}: args must be an object")
-    if kind == "hyp":
-        if "index" not in args:
-            raise ValueError(f"proof line {lineno}: hyp needs an index")
-        return Hyp(_int_arg(args, "index", lineno))
-    if kind == "axiom":
-        schema = args.get("schema")
-        if schema is not None and not isinstance(schema, str):
-            raise ValueError(f"proof line {lineno}: schema must be a string, got {schema!r}")
-        return AxiomInst(schema)
-    if kind == "taut":
-        return Taut()
-    if kind == "mp":
-        if "minor" not in args or "major" not in args:
-            raise ValueError(f"proof line {lineno}: mp needs minor and major")
-        return MP(_int_arg(args, "minor", lineno), _int_arg(args, "major", lineno))
-    raise ValueError(f"proof line {lineno}: unknown justification kind {kind!r}")
+        raise ValueError(f"{where}: args must be an object")
+    cls = _JUST_CLASSES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"{where}: unknown justification kind {kind!r}")
+    values = {}
+    for field in fields(cls):
+        value = values[field.name] = args.get(field.name, field.default)
+        if value is MISSING:
+            raise ValueError(f"{where}: {kind} needs {field.name}")
+        if field.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
+            raise ValueError(f"{where}: {field.name} must be an integer, got {value!r}")
+        if field.type != "int" and not (value is None or isinstance(value, str)):
+            raise ValueError(f"{where}: {field.name} must be a string, got {value!r}")
+    return cls(**values)
 
 
 def parse_proof_script(text: str, theory: Sequence[OuterFormula]) -> Proof:
     """Parse a JSON-lines proof script against a theory.
 
-    Malformed JSON, formulas, or justification shapes raise ValueError; the
-    logical content is judged later by ``check_proof``.  Proof files written
-    with ``params`` on axiom lines or ``atoms`` on tautology lines still
-    parse; both keys are ignored.
+    Malformed JSON, formulas, or justification shapes raise ValueError
+    naming the 0-based proof line, blank lines not counted, as verdicts and
+    ``mp`` indices do; the logical content is judged later by ``check_proof``.
+    Proof files written with ``params`` on axiom lines or ``atoms`` on
+    tautology lines still parse; both keys are ignored.
     """
     lines = []
-    for lineno, raw in enumerate(text.splitlines()):
+    for raw in text.splitlines():
         stripped = raw.strip()
         if not stripped:
             continue
+        lineno = len(lines)
         try:
             obj = json.loads(stripped)
         except json.JSONDecodeError as exc:
@@ -789,11 +786,5 @@ def parse_proof_script(text: str, theory: Sequence[OuterFormula]) -> Proof:
 
 
 def verdict_to_dict(verdict: Verdict) -> dict:
-    if verdict.accepted:
-        return {"accepted": True}
-    out: dict = {"accepted": False}
-    if verdict.line is not None:
-        out["line"] = verdict.line
-    if verdict.reason is not None:
-        out["reason"] = verdict.reason
-    return out
+    """The JSON form of ``verdict``; fields that are None are left out."""
+    return {name: value for name, value in vars(verdict).items() if value is not None}

@@ -135,6 +135,19 @@ class TestEvalCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("assign, message", [
+        (("q=0", "q=1"), "q more than once"),
+        (("1p=1/3",), "invalid variable name '1p'"),
+        (("=1",), "invalid variable name ''"),
+    ], ids=["repeated", "not-a-variable", "empty-name"])
+    def test_assignment_that_would_be_dropped(self, capsys, assign, message):
+        argv = ["eval", "--formula", "p ->[1] q", "--assign", "p=1"]
+        for pair in assign:
+            argv += ["--assign", pair]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and message in err
+
     def test_unknown_tnorm_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--expr", "p", "--assign", "p=1", "--tnorm", "fancy"])
@@ -349,6 +362,15 @@ class TestCheckProofCommand:
         assert payload["accepted"] is False
         assert payload["line"] == 0
         assert "reason" in payload
+
+    def test_empty_script_names_no_line(self, proof_files, capsys, tmp_path):
+        theory, _ = proof_files
+        script = tmp_path / "empty.jsonl"
+        script.write_text("\n", encoding="utf-8")
+        code, out, _ = run(
+            capsys, "check-proof", "--theory", theory, "--proof", str(script)
+        )
+        assert (code, out) == (1, "rejected: empty proof\n")
 
     def test_malformed_script_is_usage_error(self, proof_files, capsys, tmp_path):
         theory, _ = proof_files

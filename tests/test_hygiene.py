@@ -1,6 +1,7 @@
 """Source hygiene that needs no linter: every module-level import in the
 package is used (``__init__.py`` is exempt, since its imports are the
-public re-exports), and every name a function assigns is read."""
+public re-exports), every name a function assigns is read, and every
+private module-level name is read somewhere in the package."""
 
 from __future__ import annotations
 
@@ -66,3 +67,43 @@ def test_detects_an_unused_local():
     source = ("def f(xs):\n    a, b = 1, 2\n    for _ in xs:\n        c = b\n"
               "    def g():\n        return c\n    return g\n")
     assert _unused_locals(source) == ["f.a"]
+
+
+def _unread_privates(sources: dict) -> list:
+    """``module.name`` for each private module-level function, class or
+    constant (tuple targets too) that no statement in ``sources`` (module
+    name -> source) reads, other than the one binding it; importing a name
+    from its module counts as a read."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound = {stmt.name}
+            else:
+                targets = getattr(stmt, "targets", [getattr(stmt, "target", None)])
+                bound = {n.id for t in targets if t is not None for n in ast.walk(t)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            defined += [(module, name) for name in sorted(bound)
+                        if name.startswith("_") and not name.startswith("__")]
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
+                        and node.id not in bound:
+                    read.add((module, node.id))
+                elif isinstance(node, ast.ImportFrom):
+                    read |= {(node.module, alias.name) for alias in node.names}
+    return [f"{module}.{name}" for module, name in defined if (module, name) not in read]
+
+
+def test_no_unread_private_names():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    assert _unread_privates(sources) == []
+
+
+def test_detects_an_unread_private():
+    sources = {
+        "a": ("_A, _B = 1, 2\n_C: int = _B\ndef _f(n):\n    return _f(n - 1)\n"
+              "class _K:\n    pass\ndef _g():\n    return _K\n__all__ = []\n"),
+        "b": "from .a import _g\n_g()\n",
+    }
+    assert _unread_privates(sources) == ["a._A", "a._C", "a._f"]

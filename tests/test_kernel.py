@@ -485,6 +485,19 @@ class TestCheckProof:
         assert not verdict.accepted
         assert verdict.reason == "empty proof"
 
+    @pytest.mark.parametrize("just", [AxiomInst("strong1"), AxiomInst()])
+    def test_tnorm_given_by_name(self, just):
+        # "product" is read as the product t-norm, not left to fall through
+        def line(grade):
+            text = f"((top ->[1/2] p) /\\ (top ->[1/2] q)) => top ->[{grade}] (p * q)"
+            return Proof((), (ProofLine(parse_formula(text), just),))
+        assert check_proof((), line("1/4"), "product").accepted
+        assert not check_proof((), line("1/2"), "product").accepted
+
+    def test_unknown_tnorm_name_is_refused(self):
+        with pytest.raises(ValueError):
+            check_proof(self.THEORY, self._valid_proof(), "bogus")
+
     def test_rejects_bad_hypothesis_index(self):
         proof = Proof(self.THEORY, (ProofLine(self.THEORY[0], Hyp(5)),))
         verdict = check_proof(self.THEORY, proof)
@@ -584,6 +597,12 @@ class TestProofBuilder:
         assert i == j
         k = b.axiom(Atom(gi(P, P, 1)))
         assert b.axiom(Atom(gi(P, P, 1))) == k
+
+    def test_unknown_tnorm_name_is_refused(self):
+        with pytest.raises(ValueError):
+            ProofBuilder((), "nonsense")
+        with pytest.raises(ValueError):
+            build_score_derivation(2, [1, 0], kind="nonsense")
 
     def test_conjoin(self):
         theory = (Atom(gi(P, Q, 1)), Atom(gi(Q, R, 1)))
@@ -821,6 +840,15 @@ class TestProofSerialisation:
                 '{"formula": "p ->[1] p", "just": {"kind": "axiom"}}\n'
                 '{"formula": "p ->[1] p", "just": {"kind": "hyp", "args": '
                 '{"index": ' + "9" * 5000 + '}}}\n',
+                (),
+            )
+
+    def test_blank_lines_are_not_counted(self):
+        # the bad line is proof line 1, as a verdict would call it
+        with pytest.raises(ValueError, match="^proof line 1: .*'hypo'"):
+            parse_proof_script(
+                '\n{"formula": "p ->[1] p", "just": {"kind": "axiom"}}\n\n'
+                '{"formula": "p ->[1] p", "just": {"kind": "hypo"}}\n',
                 (),
             )
 
