@@ -11,6 +11,7 @@ Lukasiewicz operations regardless of the session t-norm; the helpers
 
 from __future__ import annotations
 
+import re
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Union
@@ -21,6 +22,9 @@ GradeLike = Union[Grade, int, str]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+GRADE_LITERAL = r"\d+(?:\.\d+|\s*/\s*\d+)?"
+_GRADE_RE = re.compile(GRADE_LITERAL)
 
 
 class TNormKind(Enum):
@@ -34,18 +38,28 @@ class TNormKind(Enum):
 def as_grade(value: GradeLike) -> Grade:
     """Coerce ``value`` to an exact degree in [0, 1].
 
-    Accepts Fractions, ints, and strings in "p/q" or decimal form
-    ("0.25" becomes exactly 1/4).  Floats are rejected: they would
-    smuggle binary rounding into comparisons that promise exactness.
+    Accepts Fractions (returned as they are), ints, and strings matching
+    ``GRADE_LITERAL``, the formula grammar's grade: "p/q" or a decimal
+    ("0.25" is exactly 1/4), with no sign, exponent, underscore or bare ".5".
+    Floats are rejected: they would smuggle binary rounding into comparisons.
     """
-    if isinstance(value, float):
+    grade = value
+    if isinstance(value, str):
+        if _GRADE_RE.fullmatch(value) is None:
+            raise ValueError(f"degree {value!r} is not a grade literal such as 3/4 or 0.75")
+        num, slash, den = value.partition("/")
+        try:  # int() refuses more digits than sys.get_int_max_str_digits()
+            grade = Fraction(int(num), int(den)) if slash else Fraction(value)
+        except ValueError:
+            raise ValueError("grade literal has too many digits") from None
+        except ZeroDivisionError:
+            raise ValueError(f"degree {value!r} has a zero denominator") from None
+    elif isinstance(value, float):
         raise TypeError("degrees must be exact; pass a Fraction, int, or string, not float")
-    try:
+    elif type(value) is not Fraction:
         grade = Fraction(value)
-    except ZeroDivisionError:
-        raise ValueError(f"degree {value!r} has a zero denominator") from None
-    if grade < ZERO or grade > ONE:
-        raise ValueError(f"degree {grade} outside [0, 1]")
+    if not 0 <= grade.numerator <= grade.denominator:
+        raise ValueError(f"degree {value} outside [0, 1]")
     return grade
 
 
@@ -79,4 +93,4 @@ def mean(values: Iterable[Grade]) -> Grade:
     collected = list(values)
     if not collected:
         raise ValueError("mean of an empty collection of degrees")
-    return Fraction(sum(collected), len(collected))
+    return sum(collected, ZERO) / len(collected)

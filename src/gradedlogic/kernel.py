@@ -624,13 +624,12 @@ def build_score_derivation(
     and ``~top ->[1] bot``) plus negation rotations, each built from schema
     instances so the whole proof is kernel-checkable.
     """
-    answers = [as_grade(a) for a in answers]
     if len(answers) != n:
         raise ValueError(f"expected {n} answers, got {len(answers)}")
     theory = score_theory(answers, items, disorder)
     lower_f = theory[0].content
     delta = lower_f.consequent
-    d = mean(answers)
+    d = mean(floor.content.grade for floor in theory[2:2 + n])
     b = ProofBuilder(theory, kind)
     tops = (Top(),) * n
 

@@ -23,12 +23,13 @@ never backs up: a term opening with ``(`` is a graded variable, an
 implication or a bracketed formula, decided once from the tokens (see
 ``_Parser``).  ``render`` writes a canonical fully parenthesised form
 through one table keyed by node class; parsing it gives an equal tree.
-Grades are parsed to exact rationals; antecedent lists are kept as
-canonically sorted multisets (``multiset``).  The grid search and the
-prototype regions compile formulas through one ``compile_outer``, given
-their atom compilers; the kernel and the canonical theory recogniser
-flatten conjunctions through one ``conjuncts``; ``atoms`` yields the atoms
-left to right.
+A grade is one token, read through ``grades.GRADE_LITERAL`` and made an
+exact rational by ``grades.as_grade``, the one rule for a degree written
+as text; antecedent lists are kept as canonically sorted multisets
+(``multiset``).  The grid search and the prototype regions compile
+formulas through one ``compile_outer``, given their atom compilers; the
+kernel and the canonical theory recogniser flatten conjunctions through
+one ``conjuncts``; ``atoms`` yields the atoms left to right.
 """
 
 from __future__ import annotations
@@ -36,10 +37,9 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Union
 
-from .grades import Grade, as_grade
+from .grades import GRADE_LITERAL, Grade, as_grade
 
 class _Syntax:
     """Base of every syntax node: ``str`` is the canonical text."""
@@ -137,7 +137,7 @@ def gi(antecedents: Union[BasicExpr, Iterable[BasicExpr]], consequent: BasicExpr
     """Convenience constructor accepting a single antecedent or an iterable."""
     if isinstance(antecedents, BasicExpr):
         antecedents = (antecedents,)
-    return GradedImplication(tuple(antecedents), consequent, as_grade(grade))
+    return GradedImplication(tuple(antecedents), consequent, grade)
 
 
 @dataclass(frozen=True)
@@ -254,15 +254,16 @@ def _check_homogeneous(f: OuterFormula) -> None:
 
 
 def vars_of_basic(e: BasicExpr) -> set:
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, (Top, Bottom)):
-        return set()
-    if isinstance(e, Neg):
-        return vars_of_basic(e.expr)
-    if isinstance(e, (And, Or, Strong)):
-        return vars_of_basic(e.left) | vars_of_basic(e.right)
-    raise TypeError(f"not a basic expression: {e!r}")
+    names, pending = set(), [e]
+    while pending:
+        e = pending.pop()
+        if isinstance(e, Var):
+            names.add(e.name)
+        elif isinstance(e, (Neg, And, Or, Strong)):
+            pending += (e.expr,) if isinstance(e, Neg) else (e.left, e.right)
+        elif not isinstance(e, (Top, Bottom)):
+            raise TypeError(f"not a basic expression: {e!r}")
+    return names
 
 
 def vars_of_formula(f: OuterFormula) -> set:
@@ -319,7 +320,7 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # One match per token; the pattern skips the whitespace before it.
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<op>/\\|\\/|=>|->|[()\[\],&|*~!/])"
-    r"|(?P<NUM>\d+(?:\.\d+)?)"
+    rf"|(?P<NUM>{GRADE_LITERAL})"
     r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<EOF>\Z)|(?P<bad>\S))"
 )
@@ -466,29 +467,14 @@ class _Parser:
             return self._bracketed(self.basic)
         raise ParseError("expected a basic expression", tok.pos)
 
-    # -- grades ---------------------------------------------------------------
+    # -- atoms ----------------------------------------------------------------
 
     def grade(self) -> Grade:
         tok = self._expect("NUM", "a grade literal")
-        den = None
-        if self._peek().kind == "/":
-            self._advance()
-            den = self._expect("NUM", "a denominator")
-            if "." in tok.text or "." in den.text:
-                raise ParseError("fractions take integer parts", tok.pos)
-        try:  # int() refuses more digits than sys.get_int_max_str_digits()
-            num = Fraction(tok.text) if den is None else int(tok.text)
-            div = 1 if den is None else int(den.text)
-        except ValueError:
-            raise ParseError("grade literal has too many digits", tok.pos) from None
-        if div == 0:
-            raise ParseError("zero denominator", den.pos)
-        value = Fraction(num, div)
-        if not 0 <= value <= 1:
-            raise ParseError("grade literal outside [0, 1]", tok.pos)
-        return value
-
-    # -- atoms ----------------------------------------------------------------
+        try:
+            return as_grade(tok.text)
+        except ValueError as exc:
+            raise ParseError(str(exc), tok.pos) from None
 
     def gi_atom(self) -> Atom:
         antecedents = [self.basic()]

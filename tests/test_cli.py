@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -128,6 +129,19 @@ class TestEvalCommand:
         assert code == 2
         assert not out
         assert err.startswith("error:") and "zero denominator" in err
+
+    @pytest.mark.parametrize("grade", ["1e-10000000", "+1/2", "1_0/20", ".5", "nan"])
+    def test_grade_outside_the_grammar_is_usage_error(self, capsys, grade):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", "--formula", "p ->[1] p",
+                             "--assign", f"p={grade}")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "not a grade literal" in err
+
+    def test_grade_with_spaces_around_the_slash(self, capsys):
+        code, out, _ = run(capsys, "eval", "--expr", "p", "--assign", "p=1 / 2")
+        assert (code, out) == (0, "1/2\n")
 
     def test_float_grade_rejected(self, capsys):
         code, _, err = run(

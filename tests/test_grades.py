@@ -8,12 +8,16 @@ from fractions import Fraction
 import pytest
 
 from gradedlogic import (
+    Atom,
+    GradedVariable,
+    ParseError,
     TNormKind,
     as_grade,
     luk_tconorm,
     luk_tnorm,
     mean,
     negate,
+    parse_formula,
     tconorm,
     tnorm,
 )
@@ -41,11 +45,62 @@ class TestAsGrade:
         with pytest.raises(ValueError, match="zero denominator"):
             as_grade(text)
 
+    def test_fraction_is_returned_as_it_is(self):
+        g = Fraction(2, 7)
+        assert as_grade(g) is g
+
+    @pytest.mark.parametrize("text", ["1e-1", "+1/2", "-0", "1_0/20", ".5", "5.", "nan",
+                                      " 1/2", "1/2 ", "0x1"])
+    def test_accepts_only_a_grade_literal(self, text):
+        with pytest.raises(ValueError, match="not a grade literal"):
+            as_grade(text)
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             as_grade(Fraction(11, 10))
         with pytest.raises(ValueError):
             as_grade(Fraction(-1, 10))
+
+
+def _grade_string(rng: random.Random) -> str:
+    """A string that is, or nearly is, a grade literal."""
+    num, den = str(rng.randint(0, 12)), str(rng.randint(0, 12))
+    digits = rng.choice(("0" * 4299 + "1", "0" * 4300 + "1", "1" + "0" * 4400))
+    return rng.choice((
+        num, f"0.{rng.randint(0, 999)}", f"{num}.{den}", f"{num}/{den}",
+        f"{num}{rng.choice((' ', chr(9), chr(10), chr(160)))}/ {den}",  # space around /
+        f"+{num}/{den}", f"-{num}", f"{num}e-{den}", f"{num}E{den}", "1e-10000000",
+        f"1_0/{den}", f"{num}_{den}", ".5", "5.", f"{num}./{den}", "nan", "inf", "-inf",
+        "0x1", "0b1", "٣/٤", "١", "１/２", "½", f"{num}/0", "0/0", "00/000",
+        f"{int(num) + int(den) + 1}/{den or 1}", "1.5", "1.0", "1.00001", f"0.5/{den}",
+        f"{num}/2.5", f"{num}/", f"/{den}", f"{num}//{den}", f"{num}/{den}/3", "1..5",
+        "", digits, "0." + digits, "1/" + digits, digits + "/" + digits,
+    ))
+
+
+def test_as_grade_agrees_with_the_formula_grammar():
+    """``as_grade(s)`` and parsing ``(p, s)`` accept the same strings, with
+    equal values.  The parser skips whitespace between tokens, so the drawn
+    strings have none at either end."""
+    rng = random.Random(1101)
+    accepted = 0
+    for _ in range(3000):
+        s = _grade_string(rng)
+        try:
+            direct = as_grade(s)
+        except ValueError:
+            direct = None
+        try:
+            parsed = parse_formula(f"(p, {s})")
+        except ParseError:
+            parsed = None
+        if direct is None:
+            assert parsed is None, s
+            continue
+        accepted += 1
+        assert type(direct) is Fraction and 0 <= direct <= 1
+        assert parsed == Atom(GradedVariable("p", direct)), s
+    assert 0 < accepted < 3000
 
 
 class TestWorkedValues:
@@ -70,6 +125,9 @@ class TestWorkedValues:
     def test_mean(self):
         vals = [Fraction(1), Fraction(3, 4), Fraction(1, 2), Fraction(1, 4)]
         assert mean(vals) == Fraction(5, 8)
+
+    def test_mean_of_ints_is_exact(self):
+        assert mean([1, 0]) == Fraction(1, 2) and type(mean([1, 0])) is Fraction
 
     def test_mean_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -111,6 +111,15 @@ class TestAstConstruction:
         f = OAnd(Atom(gi(Var("a"), Var("b"), 1)), Atom(gi(Var("c"), Var("a"), 1)))
         assert vars_of_formula(f) == {"a", "b", "c"}
 
+    def test_vars_of_a_deep_expression(self):
+        # built by hand, deeper than the recursion limit
+        e = Var("x0")
+        for i in range(1, 5000):
+            e = Neg(e) if i % 2 else And(e, Var(f"x{i % 7}"))
+        assert vars_of_basic(e) == {f"x{i}" for i in range(7)}
+        with pytest.raises(TypeError):
+            vars_of_basic(And(Var("p"), object()))
+
 
 class TestRender:
     def test_basic_forms(self):
