@@ -36,7 +36,6 @@ from .questionnaire import (
     ingest_answers,
     load_spec,
     report_to_dict,
-    spec_from_dict,
 )
 from .semantics import Evaluation, eval_basic, find_countermodel, satisfies_formula
 from .syntax import (
@@ -235,11 +234,12 @@ def _cmd_score(args) -> int:
 
 def _cmd_demo(args) -> int:
     data = resources.files("gradedlogic").joinpath("data")
-    spec_text = data.joinpath("demo_questionnaire.json").read_text(encoding="utf-8")
-    spec = spec_from_dict(json.loads(spec_text))
+    with resources.as_file(data.joinpath("demo_questionnaire.json")) as spec_path:
+        spec = load_spec(spec_path)
     with resources.as_file(data.joinpath("demo_answers.csv")) as answers_path:
         sheets = ingest_answers(answers_path, spec)
     reports = [cross_check(sheet, spec, args.tnorm) for sheet in sheets]
+    agree = all(r.agreement for r in reports)
     if args.json:
         for report in reports:
             print(json.dumps(report_to_dict(report, None), sort_keys=True))
@@ -247,13 +247,8 @@ def _cmd_demo(args) -> int:
         print(f"{spec.name}: {len(spec.items)} items, scale 0..{spec.scale_steps}")
         for report in reports:
             print(_report_line(report))
-        verdictline = (
-            "all three scoring routes agree"
-            if all(r.agreement for r in reports)
-            else "scoring routes DISAGREE"
-        )
-        print(verdictline)
-    return 0 if all(r.agreement for r in reports) else 1
+        print("all three scoring routes agree" if agree else "scoring routes DISAGREE")
+    return 0 if agree else 1
 
 
 # ---------------------------------------------------------------------------

@@ -489,7 +489,7 @@ def check_proof(
                     "and this line",
                 )
         else:
-            return Verdict(False, i, f"unknown justification {just!r}")
+            return Verdict(False, i, f"unknown justification class {type(just).__name__}")
     return Verdict(True)
 
 
@@ -707,7 +707,7 @@ def _just_to_dict(just: Justification) -> dict:
     """The script form of ``just``; an undeclared schema is left out."""
     kind = _JUST_KINDS.get(type(just))
     if kind is None:
-        raise TypeError(f"unknown justification {just!r}")
+        raise TypeError(f"unknown justification class {type(just).__name__}")
     args = {name: value for name, value in vars(just).items() if value is not None}
     return {"kind": kind, "args": args}
 

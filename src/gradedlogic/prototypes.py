@@ -14,7 +14,10 @@ coordinate.  Formulas over graded-variable atoms denote world regions:
 an atom is the set of worlds where the variable's degree is exactly the
 stated grade, and the classical connectives act as set operations.  A
 formula is satisfied when its region covers every world; the checker
-verifies this on finite grids.
+verifies this on finite grids.  A point set fits dimension n when it
+lies in [0, 1]^n: a face's index is below n, a finite set's points have
+n coordinates.  Distances, membership, pairs and evaluations refuse a
+set that does not fit with ValueError.
 
 Arithmetic runs on integers: worlds and points are scaled by the lcm L of
 their denominators, and a distance or degree becomes one Fraction at the
@@ -94,6 +97,18 @@ class Face:
 PointSet = Union[FiniteSet, Face]
 
 
+def _fit(s: PointSet, n: int, owner: str = "point set") -> None:
+    """ValueError naming ``owner`` unless ``s`` fits dimension ``n``;
+    TypeError when ``s`` is not a point set."""
+    if isinstance(s, Face):
+        if s.index >= n:
+            raise ValueError(f"{owner}: face index {s.index} outside dimension {n}")
+    elif not isinstance(s, FiniteSet):
+        raise TypeError(f"not a point set: {s!r}")
+    elif len(s.points[0]) != n:
+        raise ValueError(f"{owner}: points of dimension {len(s.points[0])}, not {n}")
+
+
 def _ints(w, scale: int) -> tuple:
     """``scale * w`` as ints; ``scale`` must clear every denominator of ``w``."""
     return tuple(c.numerator * (scale // c.denominator) for c in w)
@@ -112,24 +127,14 @@ def _scaled_distance(s: PointSet, scale: int) -> Callable[[tuple], int]:
 def set_distance(w: World, s: PointSet) -> Fraction:
     """L1 distance from a world to a set; for closed sets this is a minimum,
     so it is 0 exactly on members."""
-    if not isinstance(s, (FiniteSet, Face)):
-        raise TypeError(f"not a point set: {s!r}")
-    if isinstance(s, Face) and s.index >= len(w):
-        raise ValueError("face index outside world dimension")
-    if isinstance(s, FiniteSet) and len(s.points[0]) != len(w):
-        raise ValueError("worlds of different dimension")
+    _fit(s, len(w))
     scale = lcm(s.denominator, *(c.denominator for c in w))
     return Fraction(_scaled_distance(s, scale)(_ints(w, scale)), scale)
 
 
 def contains(s: PointSet, w: World) -> bool:
-    if isinstance(s, FiniteSet):
-        return w in s.points
-    if isinstance(s, Face):
-        if s.index >= len(w):
-            raise ValueError("face index outside world dimension")
-        return w[s.index] == s.value
-    raise TypeError(f"not a point set: {s!r}")
+    _fit(s, len(w))
+    return w in s.points if isinstance(s, FiniteSet) else w[s.index] == s.value
 
 
 def _disjoint(a: PointSet, b: PointSet) -> bool:
@@ -138,6 +143,7 @@ def _disjoint(a: PointSet, b: PointSet) -> bool:
         # unless the values differ.
         return a.index == b.index and a.value != b.value
     if isinstance(a, FiniteSet) and isinstance(b, FiniteSet):
+        _fit(b, len(a.points[0]))
         return not set(a.points) & set(b.points)
     fin, face = (a, b) if isinstance(a, FiniteSet) else (b, a)
     return all(not contains(face, p) for p in fin.points)
@@ -145,7 +151,7 @@ def _disjoint(a: PointSet, b: PointSet) -> bool:
 
 @dataclass(frozen=True)
 class PCPair:
-    """Prototype and counterexample sets; they must not touch."""
+    """Prototype and counterexample sets in one cube; they must not touch."""
 
     protos: PointSet
     counters: PointSet
@@ -173,13 +179,9 @@ class QEvaluation:
         overlap = set(self.basic) & set(self.dependent)
         if overlap:
             raise ValueError(f"variables bound twice: {sorted(overlap)}")
-        n = len(self.basic)
         for name, pair in self.dependent.items():
             for s in (pair.protos, pair.counters):
-                if isinstance(s, Face) and s.index >= n:
-                    raise ValueError(f"{name}: face index outside dimension {n}")
-                if isinstance(s, FiniteSet) and len(s.points[0]) != n:
-                    raise ValueError(f"{name}: points of dimension != {n}")
+                _fit(s, len(self.basic), name)
         object.__setattr__(self, "dependent", dict(self.dependent))
         readouts = {v: PCPair(Face(i, ONE), Face(i, ZERO)) for i, v in enumerate(self.basic)}
         object.__setattr__(self, "_readouts", readouts)
@@ -211,7 +213,8 @@ def _scaled_world(ev: QEvaluation, w: World) -> tuple:
 
 
 def degree(ev: QEvaluation, var: str, w: World) -> Grade:
-    """Relative-distance degree of ``var`` at ``w``; exact."""
+    """Relative-distance degree of ``var`` at ``w``; exact.  Only the dimension
+    of ``w`` is checked: it must hold Fractions in [0, 1], as ``world`` gives."""
     scale, x = _scaled_world(ev, w)
     pair = ev.pair(var)
     to_counters = _scaled_distance(pair.counters, scale)(x)
@@ -237,7 +240,7 @@ def _region(ev: QEvaluation, f: OuterFormula, scale: int) -> Callable[[tuple], b
 
 
 def in_region(ev: QEvaluation, f: OuterFormula, w: World) -> bool:
-    """Membership of ``w`` in the region denoted by ``f``."""
+    """Membership of ``w`` in the region of ``f``; ``w`` is checked as in ``degree``."""
     scale, x = _scaled_world(ev, w)
     return _region(ev, f, scale)(x)
 

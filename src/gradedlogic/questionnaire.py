@@ -40,6 +40,15 @@ class QuestionnaireSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "items", tuple((i, t) for i, t in self.items))
+        strings = [("name", self.name), ("disorder", self.disorder)]
+        for item_id, text in self.items:
+            strings += [("item id", item_id), ("item text", text)]
+        for field, value in strings:
+            if not isinstance(value, str):
+                raise ValueError(f"{field} must be a string, got {value!r}")
+        steps = self.scale_steps
+        if not isinstance(steps, int) or isinstance(steps, bool):
+            raise ValueError(f"scale_steps must be an integer, got {steps!r}")
         if not self.items:
             raise ValueError("a questionnaire needs at least one item")
         ids = [i for i, _ in self.items]
@@ -49,12 +58,10 @@ class QuestionnaireSpec:
             try:
                 Var(item_id)
             except ValueError:
-                raise ValueError(
-                    f"id {item_id!r} is not a usable variable name"
-                ) from None
+                raise ValueError(f"id {item_id!r} is not a usable variable name") from None
         if self.disorder in ids:
             raise ValueError("disorder symbol collides with an item id")
-        if self.scale_steps < 1:
+        if steps < 1:
             raise ValueError("scale must have at least one step")
         if self.aggregation != "mean":
             raise ValueError(f"unsupported aggregation {self.aggregation!r}")
@@ -89,20 +96,14 @@ class ScoreReport:
 
 
 def spec_from_dict(data: dict) -> QuestionnaireSpec:
+    """The spec in parsed JSON ``data``; ``QuestionnaireSpec`` judges its values."""
     try:
         items = tuple((item["id"], item["text"]) for item in data["items"])
-        steps = data["scale_steps"]
-        if not isinstance(steps, int) or isinstance(steps, bool):
-            raise ValueError(f"scale_steps must be an integer, got {steps!r}")
-        return QuestionnaireSpec(
-            name=data["name"],
-            items=items,
-            scale_steps=steps,
-            disorder=data["disorder"],
-            aggregation=data.get("aggregation", "mean"),
-        )
+        fields = (data["name"], items, data["scale_steps"], data["disorder"],
+                  data.get("aggregation", "mean"))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed questionnaire spec: {exc}") from None
+    return QuestionnaireSpec(*fields)
 
 
 def load_spec(path) -> QuestionnaireSpec:

@@ -321,7 +321,7 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<op>/\\|\\/|=>|->|[()\[\],&|*~!/])"
     rf"|(?P<NUM>{GRADE_LITERAL})"
-    r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
+    rf"|(?P<IDENT>{_IDENT_RE.pattern})"
     r"|(?P<EOF>\Z)|(?P<bad>\S))"
 )
 

@@ -674,6 +674,24 @@ class TestScoreCommand:
         assert not out
         assert "scale_steps must be an integer" in err
 
+    @pytest.mark.parametrize("field, message", [
+        ("name", "name must be a string, got 0"),
+        ("disorder", "disorder must be a string, got 0"),
+        ("id", "item id must be a string, got 0"),
+        ("text", "item text must be a string, got 0"),
+    ])
+    def test_spec_strings_must_be_strings(self, inputs, capsys, field, message):
+        _, answers, tmp_path = inputs
+        data = json.loads(json.dumps(DEMO_SPEC))
+        (data["items"][0] if field in ("id", "text") else data)[field] = 0
+        spec = tmp_path / "fields.json"
+        spec.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(
+            capsys, "score", "--spec", str(spec), "--answers", answers,
+            "--out", str(tmp_path / "r.jsonl"),
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_twenty_one_items_score_and_recheck(self, capsys, tmp_path):
         ids = [f"m{i}" for i in range(21)]
         spec = tmp_path / "spec.json"

@@ -1,14 +1,19 @@
 """Source hygiene that needs no linter: every module-level import in the
 package is used (``__init__.py`` is exempt, since its imports are the
 public re-exports), every name a function assigns is read, and every
-private module-level name is read somewhere in the package."""
+private module-level name is read somewhere in the package, and every
+name the benchmark's tracer wraps exists."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gradedlogic"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gradedlogic"
 
 
 def _unused_imports(source: str) -> list:
@@ -107,3 +112,26 @@ def test_detects_an_unread_private():
         "b": "from .a import _g\n_g()\n",
     }
     assert _unread_privates(sources) == ["a._A", "a._C", "a._f"]
+
+
+def _load_by_path(path: Path):
+    spec = importlib.util.spec_from_file_location(f"_bench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_exists():
+    # A renamed library function would otherwise fail only the traced
+    # benchmark run, where the tracer looks the name up to rebind it.
+    tracing = _load_by_path(ROOT / "perfbench" / "tracing.py")
+    workloads = _load_by_path(ROOT / "perfbench" / "workloads.py")
+    modules = ("errors", "grades", "syntax", "semantics", "kernel", "prototypes",
+               "questionnaire")
+    lib = SimpleNamespace(**{name: importlib.import_module(f"gradedlogic.{name}")
+                             for name in modules})
+    targets = tracing.targets(lib, workloads.make_api(lib))
+    assert targets
+    missing = [f"{getattr(obj, '__name__', 'api')}.{attr}" for obj, attr, _, _ in targets
+               if not callable(getattr(obj, attr, None))]
+    assert missing == []

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -41,6 +42,7 @@ from gradedlogic import (
     TNormKind,
     Top,
     Var,
+    Verdict,
     build_score_derivation,
     check_proof,
     entails_on_grid,
@@ -63,6 +65,7 @@ from gradedlogic import (
     tconorm,
     tnorm,
     vars_of_formula,
+    verdict_to_dict,
 )
 
 from fuzz import axiom_instance, rand_grade
@@ -498,6 +501,24 @@ class TestCheckProof:
         with pytest.raises(ValueError):
             check_proof(self.THEORY, self._valid_proof(), "bogus")
 
+    def test_empty_proof_has_no_conclusion(self):
+        with pytest.raises(ValueError, match="empty proof has no conclusion"):
+            Proof(self.THEORY, ()).conclusion
+
+    def test_foreign_justification_is_rejected_by_class_name(self):
+        # the class is named, not a repr that holds a memory address, so
+        # the verdict is the same on every run
+        class Odd:
+            pass
+
+        proofs = [Proof((), (ProofLine(Atom(gi(P, P, 1)), Odd()),)) for _ in range(2)]
+        verdicts = [check_proof((), proof) for proof in proofs]
+        assert verdicts[0] == Verdict(False, 0, "unknown justification class Odd")
+        assert len({json.dumps(verdict_to_dict(v), sort_keys=True) for v in verdicts}) == 1
+        for proof in proofs:
+            with pytest.raises(TypeError, match="^unknown justification class Odd$"):
+                proof_to_json_lines(proof)
+
     def test_rejects_bad_hypothesis_index(self):
         proof = Proof(self.THEORY, (ProofLine(self.THEORY[0], Hyp(5)),))
         verdict = check_proof(self.THEORY, proof)
@@ -630,6 +651,12 @@ class TestProofBuilder:
         with pytest.raises(ValueError):
             b.axiom(Atom(gi(P, Q, Fraction(9, 10))))
 
+    def test_taut_refuses_non_tautology(self):
+        b = ProofBuilder(())
+        with pytest.raises(ValueError, match="not a tautology instance"):
+            b.taut(Atom(gi(P, Q, 1)))
+        assert b.lines == []
+
     def test_infer_appends_axiom_then_modus_ponens(self):
         theory = (Atom(gi(P, Q, Fraction(3, 4))),)
         b = ProofBuilder(theory)
@@ -668,6 +695,13 @@ class TestProofBuilder:
         b = ProofBuilder((f,))
         i = b.hyp(0)
         assert b.weaken(i, Fraction(1, 2)) == i
+
+    def test_weaken_refuses_a_line_that_is_not_an_implication(self):
+        b = ProofBuilder((OAnd(Atom(gi(P, Q, 1)), Atom(gi(Q, R, 1))),))
+        i = b.hyp(0)
+        with pytest.raises(ValueError, match="only implication atoms can be weakened"):
+            b.weaken(i, Fraction(1, 2))
+        assert len(b.lines) == 1
 
     def test_weaken_cannot_strengthen(self):
         b = ProofBuilder((Atom(gi(P, Q, Fraction(1, 2))),))
@@ -841,6 +875,12 @@ class TestProofSerialisation:
                 '{"formula": "p ->[1] p", "just": {"kind": "hyp", "args": '
                 '{"index": ' + "9" * 5000 + '}}}\n',
                 (),
+            )
+
+    def test_args_must_be_an_object(self):
+        with pytest.raises(ValueError, match="^proof line 0: args must be an object$"):
+            parse_proof_script(
+                '{"formula": "p ->[1] p", "just": {"kind": "hyp", "args": [0]}}', ()
             )
 
     def test_blank_lines_are_not_counted(self):

@@ -124,6 +124,16 @@ class TestPointSets:
         assert contains(Face(1, F(0)), world([F(1, 2), 0]))
         assert not contains(Face(1, F(0)), world([F(1, 2), F(1, 4)]))
 
+    @pytest.mark.parametrize("s", [FiniteSet(((0, 0),)), Face(1, F(0))],
+                             ids=["finite", "face"])
+    def test_world_of_another_dimension_is_refused_alike(self, s):
+        w = (F(0),)
+        with pytest.raises(ValueError, match="dimension") as by_contains:
+            contains(s, w)
+        with pytest.raises(ValueError, match="dimension") as by_distance:
+            set_distance(w, s)
+        assert str(by_contains.value) == str(by_distance.value)
+
     def test_distance_zero_iff_member(self):
         rng = random.Random(5503)
         for _ in range(300):
@@ -151,6 +161,12 @@ class TestPCPair:
             )
         with pytest.raises(ValueError, match="overlap"):
             PCPair(FiniteSet((world([1, F(1, 2)]),)), Face(0, F(1)))
+
+    def test_rejects_sets_of_different_cubes(self):
+        with pytest.raises(ValueError, match="dimension"):
+            PCPair(FiniteSet(((1, 1),)), FiniteSet(((0,),)))
+        with pytest.raises(ValueError, match="dimension"):
+            PCPair(Face(2, F(0)), FiniteSet(((1, 1),)))
 
     def test_accepts_disjoint(self):
         PCPair(Face(0, F(1)), Face(0, F(0)))
@@ -258,6 +274,11 @@ class TestRegions:
         tauto = OOr(qv("x", F(1, 2)), ONot(qv("x", F(1, 2))))
         assert satisfied_on_grid(ev, tauto, 4)
         assert not satisfied_on_grid(ev, qv("x", F(1, 2)), 4)
+
+    def test_grid_denominator_must_be_positive(self):
+        ev = QEvaluation(("x",), {})
+        with pytest.raises(ValueError, match="grid denominator must be at least 1"):
+            satisfied_on_grid(ev, qv("x", 0), 0)
 
     def test_grid_budget(self):
         ev = QEvaluation(tuple(f"x{i}" for i in range(12)), {})

@@ -69,6 +69,25 @@ class TestSpec:
         with pytest.raises(ValueError, match="malformed"):
             spec_from_dict({"name": "x"})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("name", 0, "name must be a string, got 0"),
+        ("disorder", 0, "disorder must be a string, got 0"),
+        ("id", 0, "item id must be a string, got 0"),
+        ("text", 0, "item text must be a string, got 0"),
+        ("scale_steps", True, "scale_steps must be an integer, got True"),
+        ("scale_steps", "2", "scale_steps must be an integer, got '2'"),
+    ])
+    def test_dict_and_constructor_judge_alike(self, field, value, message):
+        data = {"name": "toy", "items": [{"id": "a", "text": "prompt"}],
+                "scale_steps": 3, "disorder": "dep"}
+        (data["items"][0] if field in ("id", "text") else data)[field] = value
+        with pytest.raises(ValueError) as from_dict:
+            spec_from_dict(data)
+        items = tuple((item["id"], item["text"]) for item in data["items"])
+        with pytest.raises(ValueError) as built:
+            QuestionnaireSpec(data["name"], items, data["scale_steps"], data["disorder"])
+        assert str(from_dict.value) == str(built.value) == message
+
     def test_load_spec_errors(self, tmp_path):
         bad = tmp_path / "spec.json"
         bad.write_text("{nope", encoding="utf-8")

@@ -214,6 +214,8 @@ class TestParse:
         ("(p ->[1] q) & r ->[1] s", 12, "parenthesise"),
         ("(p, /8)", 4, "expected a grade literal"),
         ("(p & q", 6, "expected ')'"),
+        ("(p ->[1] q) /\\ (x, 1/2)", 12, "mixed atom kinds"),
+        ("(p ->[1] q) => (x, 1/2)", 12, "mixed atom kinds"),
     ])
     def test_leading_bracket_errors(self, text, offset, message):
         with pytest.raises(ParseError) as exc:
