@@ -17,7 +17,11 @@ formula is satisfied when its region covers every world; the checker
 verifies this on finite grids.  A point set fits dimension n when it
 lies in [0, 1]^n: a face's index is below n, a finite set's points have
 n coordinates.  Distances, membership, pairs and evaluations refuse a
-set that does not fit with ValueError.
+set that does not fit with ValueError.  Distances, membership, degrees
+and regions take a world of ints or Fractions in [0, 1], as ``world``
+gives, in the set's or the evaluation's dimension: TypeError for a float,
+a bool or any other coordinate type, ValueError for another dimension or a
+value outside [0, 1].
 
 Arithmetic runs on integers: worlds and points are scaled by the lcm L of
 their denominators, and a distance or degree becomes one Fraction at the
@@ -50,10 +54,28 @@ DEFAULT_GRID_BUDGET = 5_000_000
 
 World = tuple
 
+_EXACT = frozenset((int, Fraction))
+
 
 def world(values: Iterable) -> World:
     """A point of the cube, coerced to exact coordinates in [0, 1]."""
     return tuple(as_grade(v) for v in values)
+
+
+def _lattice(w, n: int, denominator: int) -> tuple:
+    """``(scale, scale * w as ints)``, ``scale`` the lcm of ``denominator`` and
+    ``w``'s denominators: the one place a world becomes ints and is checked."""
+    if len(w) != n:
+        raise ValueError(f"world of dimension {len(w)}, not {n}")
+    dens = []
+    for c in w:
+        if type(c) not in _EXACT:
+            raise TypeError(f"world coordinate {c!r} is not an int or a Fraction")
+        if not 0 <= c.numerator <= (v := c.denominator):
+            raise ValueError(f"world coordinate {c} outside [0, 1]")
+        dens.append(v)
+    scale = lcm(denominator, *dens)
+    return scale, tuple(c.numerator * (scale // v) for c, v in zip(w, dens))
 
 
 def l1_distance(w: World, u: World) -> Fraction:
@@ -63,7 +85,8 @@ def l1_distance(w: World, u: World) -> Fraction:
 @dataclass(frozen=True)
 class FiniteSet:
     """Finitely many explicit points; closed, nonempty by construction.
-    ``denominator`` is the lcm of the coordinates' denominators."""
+    ``denominator`` is the lcm of the coordinates' denominators, and
+    ``_ints`` holds ``denominator * p`` as ints for each point p."""
 
     points: tuple
     denominator: int = field(init=False, repr=False, compare=False)
@@ -72,10 +95,10 @@ class FiniteSet:
         pts = tuple(world(p) for p in self.points)
         if not pts:
             raise ValueError("a point set must be nonempty")
-        if len({len(p) for p in pts}) != 1:
-            raise ValueError("points of mixed dimension")
+        den = lcm(*(c.denominator for p in pts for c in p))
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "denominator", lcm(*(c.denominator for p in pts for c in p)))
+        object.__setattr__(self, "denominator", den)
+        object.__setattr__(self, "_ints", tuple(_lattice(p, len(pts[0]), den)[1] for p in pts))
 
 
 @dataclass(frozen=True)
@@ -87,6 +110,8 @@ class Face:
     denominator = 1  # of its fixed coordinate, 0 or 1
 
     def __post_init__(self):
+        if not isinstance(self.index, int) or isinstance(self.index, bool):
+            raise TypeError(f"face index must be an integer, got {self.index!r}")
         object.__setattr__(self, "value", as_grade(self.value))
         if self.value not in (ZERO, ONE):
             raise ValueError("faces sit at coordinate 0 or 1")
@@ -97,30 +122,31 @@ class Face:
 PointSet = Union[FiniteSet, Face]
 
 
+def _finite(s) -> FiniteSet:
+    """``s``, which is not a face; TypeError when it is not a point set."""
+    if not isinstance(s, FiniteSet):
+        raise TypeError(f"not a point set: {s!r}")
+    return s
+
+
 def _fit(s: PointSet, n: int, owner: str = "point set") -> None:
     """ValueError naming ``owner`` unless ``s`` fits dimension ``n``;
     TypeError when ``s`` is not a point set."""
     if isinstance(s, Face):
         if s.index >= n:
             raise ValueError(f"{owner}: face index {s.index} outside dimension {n}")
-    elif not isinstance(s, FiniteSet):
-        raise TypeError(f"not a point set: {s!r}")
-    elif len(s.points[0]) != n:
+    elif len(_finite(s).points[0]) != n:
         raise ValueError(f"{owner}: points of dimension {len(s.points[0])}, not {n}")
 
 
-def _ints(w, scale: int) -> tuple:
-    """``scale * w`` as ints; ``scale`` must clear every denominator of ``w``."""
-    return tuple(c.numerator * (scale // c.denominator) for c in w)
-
-
 def _scaled_distance(s: PointSet, scale: int) -> Callable[[tuple], int]:
-    """The function taking ``_ints(w, scale)`` to ``scale * set_distance(w, s)``,
+    """The function taking a world's ints at ``scale`` to ``scale * set_distance(w, s)``,
     for ``scale`` a multiple of ``s.denominator``; points are scaled once."""
     if isinstance(s, Face):
         i, v = s.index, s.value.numerator * scale
         return lambda x: abs(x[i] - v)
-    points = [_ints(p, scale) for p in s.points]
+    m = scale // s.denominator
+    points = [[c * m for c in p] for p in s._ints]
     return lambda x: min(sum(map(abs, map(sub, x, p))) for p in points)
 
 
@@ -128,25 +154,22 @@ def set_distance(w: World, s: PointSet) -> Fraction:
     """L1 distance from a world to a set; for closed sets this is a minimum,
     so it is 0 exactly on members."""
     _fit(s, len(w))
-    scale = lcm(s.denominator, *(c.denominator for c in w))
-    return Fraction(_scaled_distance(s, scale)(_ints(w, scale)), scale)
+    scale, x = _lattice(w, len(w), s.denominator)
+    return Fraction(_scaled_distance(s, scale)(x), scale)
 
 
 def contains(s: PointSet, w: World) -> bool:
-    _fit(s, len(w))
-    return w in s.points if isinstance(s, FiniteSet) else w[s.index] == s.value
+    return set_distance(w, s) == 0
 
 
 def _disjoint(a: PointSet, b: PointSet) -> bool:
+    """No world lies in both sets: a finite side has no point in the other."""
     if isinstance(a, Face) and isinstance(b, Face):
         # Distinct indices always share a corner; equal indices overlap
         # unless the values differ.
         return a.index == b.index and a.value != b.value
-    if isinstance(a, FiniteSet) and isinstance(b, FiniteSet):
-        _fit(b, len(a.points[0]))
-        return not set(a.points) & set(b.points)
-    fin, face = (a, b) if isinstance(a, FiniteSet) else (b, a)
-    return all(not contains(face, p) for p in fin.points)
+    fin, other = (b, a) if isinstance(a, Face) else (a, b)
+    return not any(contains(other, p) for p in _finite(fin).points)
 
 
 @dataclass(frozen=True)
@@ -167,22 +190,28 @@ class QEvaluation:
 
     The ``basic`` variables are the coordinate readouts: the i-th is fixed
     to (face x_i = 1, face x_i = 0).  Further variables may be bound to any
-    pair whose sets fit the dimension.
+    pair whose sets fit the dimension.  ``denominator`` is the lcm of the
+    denominators of every bound set.
     """
 
     basic: tuple
     dependent: Mapping[str, PCPair]
+    denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "dependent", dict(self.dependent))
         if len(set(self.basic)) != len(self.basic):
             raise ValueError("duplicate basic variable names")
         overlap = set(self.basic) & set(self.dependent)
         if overlap:
             raise ValueError(f"variables bound twice: {sorted(overlap)}")
         for name, pair in self.dependent.items():
+            if not isinstance(pair, PCPair):
+                raise TypeError(f"{name}: not a prototype/counterexample pair: {pair!r}")
             for s in (pair.protos, pair.counters):
                 _fit(s, len(self.basic), name)
-        object.__setattr__(self, "dependent", dict(self.dependent))
+        sets = [s for p in self.dependent.values() for s in (p.protos, p.counters)]
+        object.__setattr__(self, "denominator", lcm(*(s.denominator for s in sets)))
         readouts = {v: PCPair(Face(i, ONE), Face(i, ZERO)) for i, v in enumerate(self.basic)}
         object.__setattr__(self, "_readouts", readouts)
 
@@ -197,41 +226,29 @@ class QEvaluation:
         return found
 
 
-def _scale(ev: QEvaluation, *denominators: int) -> int:
-    """The lcm of ``denominators`` and of every denominator of ``ev``'s sets."""
-    sets = (s for p in ev.dependent.values() for s in (p.protos, p.counters))
-    return lcm(*denominators, *(s.denominator for s in sets))
-
-
-def _scaled_world(ev: QEvaluation, w: World) -> tuple:
-    """``(scale, _ints(w, scale))`` with ``scale`` clearing ``ev``'s and ``w``'s
-    denominators; ValueError when ``w`` does not fit ``ev``'s dimension."""
-    if len(w) != ev.dimension:
-        raise ValueError("world dimension does not match the evaluation")
-    scale = _scale(ev, *(c.denominator for c in w))
-    return scale, _ints(w, scale)
+def _distances(ev: QEvaluation, var: str, scale: int) -> tuple:
+    """``_scaled_distance`` to the prototypes and to the counterexamples of ``var``."""
+    pair = ev.pair(var)
+    return _scaled_distance(pair.protos, scale), _scaled_distance(pair.counters, scale)
 
 
 def degree(ev: QEvaluation, var: str, w: World) -> Grade:
-    """Relative-distance degree of ``var`` at ``w``; exact.  Only the dimension
-    of ``w`` is checked: it must hold Fractions in [0, 1], as ``world`` gives."""
-    scale, x = _scaled_world(ev, w)
-    pair = ev.pair(var)
-    to_counters = _scaled_distance(pair.counters, scale)(x)
-    return Fraction(to_counters, _scaled_distance(pair.protos, scale)(x) + to_counters)
+    """Relative-distance degree of ``var`` at the world ``w``; exact."""
+    scale, x = _lattice(w, ev.dimension, ev.denominator)
+    to_protos, to_counters = _distances(ev, var, scale)
+    dc = to_counters(x)
+    return Fraction(dc, to_protos(x) + dc)
 
 
 def _region(ev: QEvaluation, f: OuterFormula, scale: int) -> Callable[[tuple], bool]:
-    """Compile ``f`` to a membership test of worlds given as ``_ints(w, scale)``,
-    for ``scale`` from ``_scale``.  Unbound variables and graded-implication
+    """Compile ``f`` to a membership test of worlds given as ints at ``scale``,
+    a multiple of ``ev.denominator``.  Unbound variables and graded-implication
     atoms raise here, before any world is visited."""
 
     def atom(q) -> Callable[[tuple], bool]:
         if not isinstance(q, GradedVariable):
             raise TypeError("graded-implication atoms have no region semantics")
-        pair = ev.pair(q.var)
-        to_protos = _scaled_distance(pair.protos, scale)
-        to_counters = _scaled_distance(pair.counters, scale)
+        to_protos, to_counters = _distances(ev, q.var, scale)
         u, v = q.grade.numerator, q.grade.denominator
         # the degree dc / (dp + dc) equals the grade u / v
         return lambda x: (dc := to_counters(x)) * v == u * (to_protos(x) + dc)
@@ -240,14 +257,21 @@ def _region(ev: QEvaluation, f: OuterFormula, scale: int) -> Callable[[tuple], b
 
 
 def in_region(ev: QEvaluation, f: OuterFormula, w: World) -> bool:
-    """Membership of ``w`` in the region of ``f``; ``w`` is checked as in ``degree``."""
-    scale, x = _scaled_world(ev, w)
+    """Membership of the world ``w`` in the region of ``f``."""
+    scale, x = _lattice(w, ev.dimension, ev.denominator)
     return _region(ev, f, scale)(x)
+
+
+def _grid_steps(k: int, scale: int) -> range:
+    """The k-denominator grid's coordinates times ``scale``, a multiple of ``k``."""
+    if k < 1:
+        raise ValueError("grid denominator must be at least 1")
+    return range(0, scale + 1, scale // k)
 
 
 def grid_worlds(n: int, k: int) -> Iterable[World]:
     """All worlds of [0,1]^n with coordinates on the k-denominator grid."""
-    steps = [Fraction(i, k) for i in range(k + 1)]
+    steps = [Fraction(i, k) for i in _grid_steps(k, k)]
     return itertools.product(steps, repeat=n)
 
 
@@ -258,17 +282,12 @@ def satisfied_on_grid(
     max_points: int = DEFAULT_GRID_BUDGET,
 ) -> bool:
     """Does the region of ``f`` cover every grid world?  Grid verdicts only."""
-    if k < 1:
-        raise ValueError("grid denominator must be at least 1")
-    n = ev.dimension
-    points = (k + 1) ** n
+    scale = lcm(ev.denominator, k)
+    steps = _grid_steps(k, scale)
+    points = len(steps) ** ev.dimension
     if points > max_points:
-        raise ResourceLimitError(
-            f"grid of {points} worlds exceeds the budget of {max_points}"
-        )
-    scale = _scale(ev, k)
-    grid = itertools.product(range(0, scale + 1, scale // k), repeat=n)  # grid_worlds * scale
-    return all(map(_region(ev, f, scale), grid))
+        raise ResourceLimitError(f"grid of {points} worlds exceeds the budget of {max_points}")
+    return all(map(_region(ev, f, scale), itertools.product(steps, repeat=ev.dimension)))
 
 
 def canonical_disorder_eval(
@@ -281,15 +300,10 @@ def canonical_disorder_eval(
     corner, which makes its degree the arithmetic mean of the coordinates."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    if items is None:
-        items = tuple(f"phi{i + 1}" for i in range(n))
-    items = tuple(items)
+    items = tuple(f"phi{i + 1}" for i in range(n)) if items is None else tuple(items)
     if len(items) != n:
         raise ValueError(f"expected {n} item names, got {len(items)}")
-    pair = PCPair(
-        FiniteSet(((ONE,) * n,)),
-        FiniteSet(((ZERO,) * n,)),
-    )
+    pair = PCPair(FiniteSet(((ONE,) * n,)), FiniteSet(((ZERO,) * n,)))
     return QEvaluation(items, {disorder: pair})
 
 
@@ -302,13 +316,8 @@ def _biconditional_sides(f: OuterFormula):
     """(phi, psi) when ``f`` is (phi => psi) /\\ (psi => phi) in some order."""
     if not isinstance(f, OAnd):
         return None
-    one = implication_parts(f.left)
-    two = implication_parts(f.right)
-    if one is None or two is None:
-        return None
-    if one[0] == two[1] and one[1] == two[0]:
-        return one
-    return None
+    one, two = implication_parts(f.left), implication_parts(f.right)
+    return one if one and two and one[0] == two[1] and one[1] == two[0] else None
 
 
 def _q_atom(f: OuterFormula) -> Optional[GradedVariable]:
@@ -317,22 +326,21 @@ def _q_atom(f: OuterFormula) -> Optional[GradedVariable]:
     return None
 
 
-def _corner_halves(f: OuterFormula, level: Grade):
-    """(disorder atom, item atoms) for one biconditional at degree ``level``."""
+def _corner_halves(f: OuterFormula):
+    """(level, disorder atom's variable, item names) for one biconditional
+    whose solo atom and item atoms all sit at one level."""
     sides = _biconditional_sides(f)
     if sides is None:
         return None
     for solo, conj in (sides, reversed(sides)):
         atom = _q_atom(solo)
-        if atom is None or atom.grade != level:
-            continue
         others = [_q_atom(c) for c in conjuncts(conj)]
-        if any(a is None or a.grade != level for a in others):
+        if atom is None or any(a is None or a.grade != atom.grade for a in others):
             continue
         names = [a.var for a in others]
         if len(set(names)) != len(names) or atom.var in names:
             continue
-        return atom.var, names
+        return atom.grade, atom.var, names
     return None
 
 
@@ -347,28 +355,18 @@ def check_theory_correct_canonical(
     iff all n items are at degree 1, and the same at degree 0.  On a match,
     the canonical evaluation is checked against both formulas on the
     k-denominator grid and returned; anything else returns None (the pattern
-    is deliberately narrow, not a general model search).
+    is deliberately narrow, not a general model search).  The items take the
+    order of the degree-1 member.
     """
     if len(theory) != 2:
         return None
-    ones = zeros = None
-    for f in theory:
-        found = _corner_halves(f, ONE)
-        if found is not None and ones is None:
-            ones = found
-            continue
-        found = _corner_halves(f, ZERO)
-        if found is not None and zeros is None:
-            zeros = found
-    if ones is None or zeros is None:
+    levels = {}
+    for level, *halves in filter(None, map(_corner_halves, theory)):
+        levels.setdefault(level, halves)
+    if ONE not in levels or ZERO not in levels:
         return None
-    disorder, items = ones
-    if zeros[0] != disorder or set(zeros[1]) != set(items):
-        return None
-    if len(items) != n:
+    (disorder, items), (zero_disorder, zero_items) = levels[ONE], levels[ZERO]
+    if zero_disorder != disorder or set(zero_items) != set(items) or len(items) != n:
         return None
     ev = canonical_disorder_eval(n, disorder, items)
-    for f in theory:
-        if not satisfied_on_grid(ev, f, k):
-            return None
-    return ev
+    return ev if all(satisfied_on_grid(ev, f, k) for f in theory) else None

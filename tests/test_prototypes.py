@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
@@ -86,6 +87,11 @@ class TestPointSets:
         with pytest.raises(ValueError):
             Face(-1, F(1))
 
+    @pytest.mark.parametrize("index", [0.0, True, "0", None], ids=repr)
+    def test_face_index_must_be_an_int(self, index):
+        with pytest.raises(TypeError, match=f"face index must be an integer, got {index!r}"):
+            Face(index, F(1))
+
     def test_finite_set_distance_is_min_over_points(self):
         s = FiniteSet((world([0, 0]), world([1, F(1, 2)])))
         w = world([F(3, 4), F(1, 2)])
@@ -168,6 +174,12 @@ class TestPCPair:
         with pytest.raises(ValueError, match="dimension"):
             PCPair(Face(2, F(0)), FiniteSet(((1, 1),)))
 
+    @pytest.mark.parametrize("pair", [("x", Face(0, 1)), (Face(0, 1), "x")],
+                             ids=["str-face", "face-str"])
+    def test_non_sets_are_refused_by_type(self, pair):
+        with pytest.raises(TypeError, match="not a point set: 'x'"):
+            PCPair(*pair)
+
     def test_accepts_disjoint(self):
         PCPair(Face(0, F(1)), Face(0, F(0)))
         PCPair(FiniteSet((world([1, 1]),)), FiniteSet((world([0, 0]),)))
@@ -202,6 +214,12 @@ class TestQEvaluation:
                                      FiniteSet((world([0, 0]),)))}
             )
 
+    def test_binding_must_be_a_pair(self):
+        with pytest.raises(TypeError, match="d: not a prototype/counterexample pair: 'nope'"):
+            QEvaluation(("x",), {"d": "nope"})
+        with pytest.raises(TypeError, match="not a prototype/counterexample pair"):
+            QEvaluation(("x",), {"d": Face(0, 1)})
+
     def test_degree_range_and_extremes(self):
         rng = random.Random(5505)
         for _ in range(300):
@@ -224,6 +242,39 @@ class TestQEvaluation:
         ev = QEvaluation(("x",), {})
         with pytest.raises(ValueError):
             degree(ev, "x", world([0, 1]))
+
+
+class TestWorldRule:
+    """Degrees, regions and distances take worlds as ``world`` gives them."""
+
+    @staticmethod
+    def calls(w):
+        ev = canonical_disorder_eval(1, "d")
+        return {
+            "degree": lambda: degree(ev, "d", w),
+            "in_region": lambda: in_region(ev, qv("d", F(3, 4)), w),
+            "set_distance": lambda: set_distance(w, FiniteSet(((1,),))),
+        }
+
+    @pytest.mark.parametrize("name", ["degree", "in_region", "set_distance"])
+    @pytest.mark.parametrize("w, error, message", [
+        ((F(3, 2),), ValueError, "world coordinate 3/2 outside [0, 1]"),
+        ((-1,), ValueError, "world coordinate -1 outside [0, 1]"),
+        ((0.5,), TypeError, "world coordinate 0.5 is not an int or a Fraction"),
+        (("1/2",), TypeError, "world coordinate '1/2' is not an int or a Fraction"),
+        ((True,), TypeError, "world coordinate True is not an int or a Fraction"),
+    ], ids=["above", "below", "float", "str", "bool"])
+    def test_off_cube_and_inexact_worlds_are_refused(self, name, w, error, message):
+        with pytest.raises(error) as refused:
+            self.calls(w)[name]()
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize("w", [(F(1, 2),), (0,), [F(1, 4)]], ids=repr)
+    def test_exact_worlds_in_the_cube_are_read(self, w):
+        calls = self.calls(w)
+        assert calls["degree"]() == F(w[0])
+        assert calls["in_region"]() == (w[0] == F(3, 4))
+        assert calls["set_distance"]() == 1 - w[0]
 
 
 class TestRegions:
@@ -279,6 +330,11 @@ class TestRegions:
         ev = QEvaluation(("x",), {})
         with pytest.raises(ValueError, match="grid denominator must be at least 1"):
             satisfied_on_grid(ev, qv("x", 0), 0)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_grid_worlds_denominator_must_be_positive(self, k):
+        with pytest.raises(ValueError, match="grid denominator must be at least 1"):
+            grid_worlds(2, k)
 
     def test_grid_budget(self):
         ev = QEvaluation(tuple(f"x{i}" for i in range(12)), {})
@@ -521,3 +577,136 @@ class TestLatticeDifferential:
             assert satisfied_on_grid(ev, f, k) == expected, (ev, f, k)
         assert min(verdicts.values()) >= 40, verdicts
         assert min(members.values()) >= 500, members
+
+
+# ---------------------------------------------------------------------------
+# Seeded malformed input: the library counterpart of tests/test_cli_fuzz.py
+# ---------------------------------------------------------------------------
+
+BAD_COORDINATES = (0.5, 1.0, 0.0, "1/2", "0", None, True, False, F(3, 2), F(-1, 3),
+                   -1, 2, 10**30, [0], (1,), complex(0, 0))
+BAD_SETS = ("x", None, 0, (F(0),), [(F(0),)], {"points": ()})
+BAD_INDICES = (0.0, 1.5, True, False, "0", None, -1, -7)
+BAD_BINDINGS = ("nope", None, 0, Face(0, 1), (Face(0, 1), Face(0, 0)))
+BAD_GRIDS = (0, -1, -3)
+
+
+def _is_world(w, n) -> bool:
+    """The test's own rule: a tuple or list of n ints or Fractions (no
+    bools) in [0, 1]."""
+    return (isinstance(w, (tuple, list)) and len(w) == n
+            and all(type(c) in (int, Fraction) and 0 <= c <= 1 for c in w))
+
+
+def _fits(s, w) -> bool:
+    if isinstance(s, Face):
+        return s.index < len(w)
+    return isinstance(s, FiniteSet) and len(s.points[0]) == len(w)
+
+
+def _fuzz_world(rng, n, k):
+    """A grid world, then with one chance in two a mutation: a bad
+    coordinate, another length, a list, or a string."""
+    w = [F(rng.randint(0, k), k) if rng.random() < 0.8 else rng.randint(0, 1)
+         for _ in range(n)]
+    roll = rng.randrange(8)
+    if roll == 0:
+        w[rng.randrange(n)] = rng.choice(BAD_COORDINATES)
+    elif roll == 1:
+        w = w[:-1] if rng.random() < 0.5 else w + [F(0)]
+    elif roll == 2:
+        return "".join(rng.choice("01") for _ in range(n))
+    elif roll == 3:
+        return w
+    return tuple(w)
+
+
+def _fuzz_face(rng, n):
+    index = rng.randrange(n) if rng.random() < 0.7 else rng.choice(BAD_INDICES + (n, n + 2))
+    return Face(index, F(rng.randint(0, 1)))
+
+
+def _fuzz_set(rng, n, k):
+    roll = rng.randrange(6)
+    if roll == 0:
+        return rng.choice(BAD_SETS)
+    if roll == 1:
+        return _fuzz_face(rng, n)
+    if roll == 2:
+        return Face(rng.randrange(n), F(rng.randint(0, 1)))
+    dim = n if rng.random() < 0.85 else n + rng.choice((-1, 1))
+    return FiniteSet(tuple(tuple(F(rng.randint(0, k), k) for _ in range(dim))
+                           for _ in range(rng.randint(1, 2))))
+
+
+def _fuzz_evaluation(rng, n, k):
+    dependent = {}
+    for j in range(rng.randint(0, 2)):
+        if rng.random() < 0.2:
+            dependent[f"d{j}"] = rng.choice(BAD_BINDINGS)
+        else:
+            dependent[f"d{j}"] = PCPair(_fuzz_set(rng, n, k), _fuzz_set(rng, n, k))
+    return QEvaluation(tuple(f"x{i}" for i in range(n)), dependent)
+
+
+class TestMalformedInputs:
+    """Worlds, point sets, face indices, bindings and grid denominators drawn
+    partly malformed: the public functions raise only ValueError, TypeError
+    or UnboundVariableError, and whatever they return agrees with the
+    Fraction oracles above."""
+
+    CASES = 6000
+
+    def test_only_documented_errors_escape(self):
+        rng = random.Random("prototypes-fuzz")
+        tally = collections.Counter()
+        for _ in range(self.CASES):
+            n, k = rng.randint(1, 3), rng.randint(1, 4)
+            op = rng.randrange(7)
+            try:
+                if op == 0:
+                    ev = _fuzz_evaluation(rng, n, k)
+                    var = rng.choice(ev.basic + tuple(ev.dependent) + ("zz",))
+                    w = _fuzz_world(rng, n, k)
+                    got = degree(ev, var, w)
+                    assert var != "zz" and _is_world(w, n), (ev, var, w, got)
+                    assert got == _oracle_degree(ev, var, w), (ev, var, w, got)
+                elif op == 1:
+                    ev = _fuzz_evaluation(rng, n, k)
+                    f = _random_region_formula(rng, ev, k, rng.randint(0, 2))
+                    w = _fuzz_world(rng, n, k)
+                    got = in_region(ev, f, w)
+                    assert _is_world(w, n), (ev, f, w, got)
+                    assert got == _oracle_region(ev, f, w), (ev, f, w, got)
+                elif op == 2:
+                    s, w = _fuzz_set(rng, n, k), _fuzz_world(rng, n, k)
+                    by_distance = rng.random() < 0.5
+                    got = set_distance(w, s) if by_distance else contains(s, w)
+                    assert _is_world(w, len(w)) and _fits(s, w), (s, w, got)
+                    oracle = _oracle_distance(w, s)
+                    assert got == (oracle if by_distance else oracle == 0), (s, w, got)
+                elif op == 3:
+                    w, u = _fuzz_world(rng, n, k), _fuzz_world(rng, n, k)
+                    got = l1_distance(w, u)  # u is a point, coerced by ``world``
+                    assert _is_world(w, len(w)) and len(world(u)) == len(w), (w, u, got)
+                    assert got == _oracle_distance(w, FiniteSet((u,))), (w, u, got)
+                elif op == 4:
+                    ev = _fuzz_evaluation(rng, n, k)
+                    grid = k if rng.random() < 0.7 else rng.choice(BAD_GRIDS)
+                    f = _random_region_formula(rng, ev, max(grid, 1), rng.randint(0, 2))
+                    got = satisfied_on_grid(ev, f, grid)
+                    assert grid >= 1, (ev, f, grid, got)
+                    assert got == all(_oracle_region(ev, f, w) for w in _oracle_grid(n, grid))
+                elif op == 5:
+                    grid = k if rng.random() < 0.5 else rng.choice(BAD_GRIDS)
+                    got = list(grid_worlds(n, grid))
+                    assert grid >= 1 and got == list(_oracle_grid(n, grid)), (n, grid)
+                else:
+                    got = _fuzz_face(rng, n)
+                    assert type(got.index) is int and got.index >= 0, got
+            except (ValueError, TypeError, UnboundVariableError):
+                tally[op, "refused"] += 1
+            else:
+                tally[op, "returned"] += 1
+        assert min(tally[op, outcome] for op in range(7)
+                   for outcome in ("returned", "refused")) >= 50, tally
