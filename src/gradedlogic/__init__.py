@@ -7,7 +7,7 @@ prototype semantics over the answer cube.  The questionnaire module scores
 respondents through all three and cross-checks the results exactly.
 """
 
-from .errors import ResourceLimitError, UnboundVariableError
+from .errors import AtomKindError, ResourceLimitError, UnboundVariableError
 from .grades import (
     Grade,
     TNormKind,

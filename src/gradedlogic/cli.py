@@ -2,10 +2,11 @@
 
 Subcommands: parse, eval, entail, check-proof, qcheck, score, demo.
 Exit codes: 0 for success or a true verdict, 1 for a false verdict (a
-countermodel was found, a proof was rejected, scores disagreed), 2 for
-usage, input, or resource errors.  With ``--json`` all results are printed
-as canonical JSON (sorted keys, exact "p/q" degree strings), byte-identical
-across runs.
+countermodel was found, a proof was rejected, scores disagreed), 2 for a
+usage error, a ValueError (as ParseError, UnboundVariableError and
+AtomKindError are), an OSError or a ResourceLimitError; any other exception
+is a defect and is not caught.  ``--json`` prints canonical JSON (sorted
+keys, exact "p/q" degree strings), byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -93,11 +94,7 @@ def _cmd_eval(args) -> int:
         value = eval_basic(v, parse_basic(args.expr))
         _emit(args, {"kind": "basic", "value": str(value)}, str(value))
         return 0
-    f = parse_formula(args.formula)
-    try:
-        satisfied = satisfies_formula(v, f)
-    except TypeError as exc:  # a graded-variable atom: bad input, not a verdict
-        raise ValueError(str(exc)) from None
+    satisfied = satisfies_formula(v, parse_formula(args.formula))
     _emit(
         args,
         {"kind": "formula", "satisfied": satisfied},
@@ -110,10 +107,7 @@ def _cmd_entail(args) -> int:
     theory = parse_theory(_read(args.theory))
     formula = parse_formula(args.formula)
     m = args.grid_denominator
-    try:
-        counter = find_countermodel(theory, formula, m, args.tnorm)
-    except TypeError as exc:  # a graded-variable atom: bad input, not a verdict
-        raise ValueError(str(exc)) from None
+    counter = find_countermodel(theory, formula, m, args.tnorm)
     if counter is None:
         _emit(
             args,
@@ -338,8 +332,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, KeyError, OSError, ResourceLimitError) as exc:
-        # ParseError is a ValueError, UnboundVariableError a KeyError
+    except (ValueError, OSError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

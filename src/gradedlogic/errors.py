@@ -12,7 +12,11 @@ class ResourceLimitError(RuntimeError):
     """
 
 
-class UnboundVariableError(KeyError):
+class AtomKindError(TypeError, ValueError):
+    """An atom of a kind the semantics at hand gives no meaning to."""
+
+
+class UnboundVariableError(KeyError, ValueError):
     """A variable occurs in an expression but the evaluation does not bind it."""
 
     def __init__(self, name: str):

@@ -94,6 +94,8 @@ from .syntax import (
     Strong,
     Top,
     Var,
+    atom_content,
+    atoms,
     conjuncts,
     implication_parts,
     multiset,
@@ -171,12 +173,6 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _gi_atom(f) -> Optional[GradedImplication]:
-    if isinstance(f, Atom) and isinstance(f.content, GradedImplication):
-        return f.content
-    return None
-
-
 _Unit = namedtuple("_Unit", "ant cons grade")
 
 
@@ -185,6 +181,11 @@ def _single(g: Optional[GradedImplication]) -> Optional[_Unit]:
     if g is not None and len(g.antecedents) == 1:
         return _Unit(g.antecedents[0], g.consequent, g.grade)
     return None
+
+
+def _in_range(index, n: int) -> bool:
+    """The one rule for a theory or proof line index: an int, not a bool, in 0..n-1."""
+    return type(index) is int and 0 <= index < n
 
 
 def _unit(a: BasicExpr, b: BasicExpr, d) -> Atom:
@@ -212,13 +213,14 @@ def _views(f: OuterFormula) -> dict:
         or     (x, y)      f is x \\/ y for units x, y (not an arrow)
     """
     views = dict.fromkeys(("gi", "unit", "pair", "arrow", "nary", "mean", "not", "or"))
-    g = _gi_atom(f)
+    g = atom_content(f, GradedImplication)
     if g is not None:
         views["gi"] = (g,)
         views["unit"] = _single(g)
     parts = implication_parts(f)
     if parts is not None:
-        premise, conclusion = _gi_atom(parts[0]), _gi_atom(parts[1])
+        premise = atom_content(parts[0], GradedImplication)
+        conclusion = atom_content(parts[1], GradedImplication)
         z = _single(conclusion)
         if premise is not None and z is not None:
             views["mean"] = (premise, z)
@@ -227,16 +229,17 @@ def _views(f: OuterFormula) -> dict:
                 views["arrow"] = (x, z)
         premises = conjuncts(parts[0])
         if len(premises) >= 2 and conclusion is not None:
-            gs = tuple(_gi_atom(c) for c in premises)
+            gs = tuple(atom_content(c, GradedImplication) for c in premises)
             views["nary"] = (gs, conclusion)
             if len(gs) == 2 and z is not None:
                 x, y = _single(gs[0]), _single(gs[1])
                 if x is not None and y is not None:
                     views["pair"] = (x, y, z)
     elif isinstance(f, ONot):
-        views["not"] = _single(_gi_atom(f.operand))
+        views["not"] = _single(atom_content(f.operand, GradedImplication))
     elif isinstance(f, OOr):
-        x, y = _single(_gi_atom(f.left)), _single(_gi_atom(f.right))
+        x = _single(atom_content(f.left, GradedImplication))
+        y = _single(atom_content(f.right, GradedImplication))
         if x is not None and y is not None:
             views["or"] = (x, y)
     return views
@@ -458,7 +461,7 @@ def check_proof(
     for i, line in enumerate(proof.lines):
         just = line.just
         if isinstance(just, Hyp):
-            if not 0 <= just.index < len(theory):
+            if not _in_range(just.index, len(theory)):
                 return Verdict(False, i, f"hypothesis index {just.index} out of range")
             if theory[just.index] != line.formula:
                 return Verdict(
@@ -479,7 +482,7 @@ def check_proof(
             if not match_tautology(line.formula, branch_cap):
                 return Verdict(False, i, "not a classical tautology instance")
         elif isinstance(just, MP):
-            if not (0 <= just.minor < i and 0 <= just.major < i):
+            if not (_in_range(just.minor, i) and _in_range(just.major, i)):
                 return Verdict(False, i, "modus ponens references a later or missing line")
             fit = (proof.lines[just.minor].formula, line.formula)
             if implication_parts(proof.lines[just.major].formula) != fit:
@@ -518,8 +521,14 @@ class ProofBuilder:
             self.lines.append(ProofLine(formula, just))
         return index
 
+    def formula(self, index: int) -> OuterFormula:
+        """The formula of line ``index``; ValueError for a bad index."""
+        if not _in_range(index, len(self.lines)):
+            raise ValueError(f"no proof line {index!r}")
+        return self.lines[index].formula
+
     def hyp(self, index: int) -> int:
-        if not 0 <= index < len(self.theory):
+        if not _in_range(index, len(self.theory)):
             raise ValueError(f"hypothesis index {index} out of range")
         return self._append(self.theory[index], Hyp(index))
 
@@ -535,8 +544,8 @@ class ProofBuilder:
         return self._append(formula, Taut())
 
     def mp(self, minor: int, major: int) -> int:
-        shape = implication_parts(self.lines[major].formula)
-        if shape is None or shape[0] != self.lines[minor].formula:
+        shape = implication_parts(self.formula(major))
+        if shape is None or shape[0] != self.formula(minor):
             raise ValueError("modus ponens premises do not fit")
         return self._append(shape[1], MP(minor, major))
 
@@ -544,18 +553,19 @@ class ProofBuilder:
         """Derive ``target`` from an earlier line: the axiom instance
         ``line => target``, then modus ponens.  ValueError, and no line
         appended, when no schema licenses that arrow."""
-        return self.mp(line, self.axiom(outer_implies(self.lines[line].formula, target)))
+        return self.mp(line, self.axiom(outer_implies(self.formula(line), target)))
 
     def conjoin(self, i: int, j: int) -> int:
         """Derive the conjunction of two earlier lines via a tautology step."""
-        phi = self.lines[i].formula
-        psi = self.lines[j].formula
-        both = OAnd(phi, psi)
-        step = self.taut(outer_implies(phi, outer_implies(psi, both)))
-        half = self.mp(i, step)
-        return self.mp(j, half)
+        phi, psi = self.formula(i), self.formula(j)
+        step = self.taut(outer_implies(phi, outer_implies(psi, OAnd(phi, psi))))
+        return self.mp(j, self.mp(i, step))
 
     def conjoin_all(self, indices: Sequence[int]) -> int:
+        """Conjoin lines left to right; ValueError, and no line appended, for
+        an empty list, a bad index or lines of mixed atom kinds."""
+        if len({type(next(atoms(self.formula(i)))) for i in indices}) != 1:
+            raise ValueError("conjoin_all needs one or more lines of one atom kind")
         acc = indices[0]
         for nxt in indices[1:]:
             acc = self.conjoin(acc, nxt)
@@ -568,7 +578,7 @@ class ProofBuilder:
         slackened grade, then a transitivity schema composes the two.
         """
         target = as_grade(target)
-        g = _gi_atom(self.lines[line].formula)
+        g = atom_content(self.formula(line), GradedImplication)
         if g is None:
             raise ValueError("only implication atoms can be weakened")
         if target > g.grade:
@@ -638,7 +648,7 @@ def build_score_derivation(
     all_low = b.conjoin_all(floor_idx + [b.hyp(0)])
     spread_low = Atom(GradedImplication(tops, delta, d))
     if n == 1:
-        pending_low = (all_low, b.axiom(outer_implies(b.lines[all_low].formula, spread_low)))
+        pending_low = (all_low, b.axiom(outer_implies(b.formula(all_low), spread_low)))
     else:
         mid = b.infer(all_low, spread_low)
         pending_low = (mid, b.axiom(outer_implies(spread_low, _unit(Top(), delta, d))))
@@ -667,7 +677,7 @@ def build_score_derivation(
     at_negtop = b.infer(pair, _unit(delta, Neg(Top()), negate(d)))
     last_pair = b.conjoin(at_negtop, lemma_b)
     final_ax = b.axiom(
-        outer_implies(b.lines[last_pair].formula, _unit(delta, Bottom(), negate(d)))
+        outer_implies(b.formula(last_pair), _unit(delta, Bottom(), negate(d)))
     )
 
     # Fire the two pending conclusions so they land as the final two lines.
@@ -714,15 +724,9 @@ def _just_to_dict(just: Justification) -> dict:
 
 def proof_to_json_lines(proof: Proof) -> str:
     """One JSON object per proof line; 0-based indices throughout."""
-    out = []
-    for line in proof.lines:
-        out.append(
-            json.dumps(
-                {"formula": render(line.formula), "just": _just_to_dict(line.just)},
-                sort_keys=True,
-            )
-        )
-    return "\n".join(out) + "\n"
+    lines = (json.dumps({"formula": render(line.formula), "just": _just_to_dict(line.just)},
+                        sort_keys=True) for line in proof.lines)
+    return "\n".join(lines) + "\n"
 
 
 def _just_from_dict(d, lineno: int) -> Justification:

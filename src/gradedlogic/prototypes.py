@@ -18,10 +18,10 @@ verifies this on finite grids.  A point set fits dimension n when it
 lies in [0, 1]^n: a face's index is below n, a finite set's points have
 n coordinates.  Distances, membership, pairs and evaluations refuse a
 set that does not fit with ValueError.  Distances, membership, degrees
-and regions take a world of ints or Fractions in [0, 1], as ``world``
-gives, in the set's or the evaluation's dimension: TypeError for a float,
-a bool or any other coordinate type, ValueError for another dimension or a
-value outside [0, 1].
+and regions take a world of ints or Fractions in [0, 1] in the set's or
+the evaluation's dimension, and a finite set takes its points by the same
+rule: TypeError for a float, a bool, a string or any other coordinate
+type, ValueError for another dimension or a value outside [0, 1].
 
 Arithmetic runs on integers: worlds and points are scaled by the lcm L of
 their denominators, and a distance or degree becomes one Fraction at the
@@ -38,13 +38,13 @@ from math import lcm
 from operator import sub
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import ResourceLimitError, UnboundVariableError
+from .errors import AtomKindError, ResourceLimitError, UnboundVariableError
 from .grades import ONE, ZERO, Grade, as_grade
 from .syntax import (
-    Atom,
     GradedVariable,
     OAnd,
     OuterFormula,
+    atom_content,
     compile_outer,
     conjuncts,
     implication_parts,
@@ -84,19 +84,19 @@ def l1_distance(w: World, u: World) -> Fraction:
 
 @dataclass(frozen=True)
 class FiniteSet:
-    """Finitely many explicit points; closed, nonempty by construction.
-    ``denominator`` is the lcm of the coordinates' denominators, and
-    ``_ints`` holds ``denominator * p`` as ints for each point p."""
+    """Finitely many points of one dimension, each checked as a query world
+    is; closed and nonempty.  ``denominator`` is the lcm of the coordinates'
+    denominators, and ``_ints`` holds ``denominator * p`` as ints for each p."""
 
     points: tuple
     denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = tuple(world(p) for p in self.points)
+        pts = tuple(self.points)
         if not pts:
             raise ValueError("a point set must be nonempty")
-        den = lcm(*(c.denominator for p in pts for c in p))
-        object.__setattr__(self, "points", pts)
+        den = lcm(*(_lattice(p, len(pts[0]), 1)[0] for p in pts))
+        object.__setattr__(self, "points", tuple(tuple(map(as_grade, p)) for p in pts))
         object.__setattr__(self, "denominator", den)
         object.__setattr__(self, "_ints", tuple(_lattice(p, len(pts[0]), den)[1] for p in pts))
 
@@ -247,7 +247,7 @@ def _region(ev: QEvaluation, f: OuterFormula, scale: int) -> Callable[[tuple], b
 
     def atom(q) -> Callable[[tuple], bool]:
         if not isinstance(q, GradedVariable):
-            raise TypeError("graded-implication atoms have no region semantics")
+            raise AtomKindError("graded-implication atoms have no region semantics")
         to_protos, to_counters = _distances(ev, q.var, scale)
         u, v = q.grade.numerator, q.grade.denominator
         # the degree dc / (dp + dc) equals the grade u / v
@@ -320,12 +320,6 @@ def _biconditional_sides(f: OuterFormula):
     return one if one and two and one[0] == two[1] and one[1] == two[0] else None
 
 
-def _q_atom(f: OuterFormula) -> Optional[GradedVariable]:
-    if isinstance(f, Atom) and isinstance(f.content, GradedVariable):
-        return f.content
-    return None
-
-
 def _corner_halves(f: OuterFormula):
     """(level, disorder atom's variable, item names) for one biconditional
     whose solo atom and item atoms all sit at one level."""
@@ -333,8 +327,8 @@ def _corner_halves(f: OuterFormula):
     if sides is None:
         return None
     for solo, conj in (sides, reversed(sides)):
-        atom = _q_atom(solo)
-        others = [_q_atom(c) for c in conjuncts(conj)]
+        atom = atom_content(solo, GradedVariable)
+        others = [atom_content(c, GradedVariable) for c in conjuncts(conj)]
         if atom is None or any(a is None or a.grade != atom.grade for a in others):
             continue
         names = [a.var for a in others]

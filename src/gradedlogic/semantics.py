@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .errors import ResourceLimitError, UnboundVariableError
+from .errors import AtomKindError, ResourceLimitError, UnboundVariableError
 from .grades import Grade, TNormKind, as_grade, luk_tnorm, mean, negate, tnorm
 from .syntax import (
     And,
@@ -118,7 +118,7 @@ def satisfies_gi_luk_form(v: Evaluation, g: GradedImplication) -> bool:
 def satisfies_formula(v: Evaluation, f: OuterFormula) -> bool:
     if isinstance(f, Atom):
         if not isinstance(f.content, GradedImplication):
-            raise TypeError(_NO_DEGREE_SEMANTICS)
+            raise AtomKindError(_NO_DEGREE_SEMANTICS)
         return satisfies_gi(v, f.content)
     if isinstance(f, ONot):
         return not satisfies_formula(v, f.operand)
@@ -181,7 +181,7 @@ def _grid_compiler(names: Sequence[str], m: int, kind: TNormKind):
 
     def implication(g) -> Callable[[tuple], bool]:
         if not isinstance(g, GradedImplication):
-            raise TypeError(_NO_DEGREE_SEMANTICS)
+            raise AtomKindError(_NO_DEGREE_SEMANTICS)
         # mean(x_i / s_i) <= x_c / s_c + 1 - u / v, times n * lcm of all
         # denominators, is one comparison of ints.
         ants = [basic(a) for a in g.antecedents]
@@ -215,7 +215,7 @@ def find_countermodel(
     the first (and returned) hit is the lexicographically smallest
     countermodel.  Raises ResourceLimitError when the grid has more than
     ``max_points`` evaluations rather than searching a truncated grid, and
-    TypeError for a graded-variable atom before any point is visited.
+    AtomKindError for a graded-variable atom before any point is visited.
     """
     kind = TNormKind(kind)
     if denominator < 1:

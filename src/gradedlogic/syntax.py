@@ -201,6 +201,11 @@ def implication_parts(f: OuterFormula):
     return None
 
 
+def atom_content(f: OuterFormula, kind: type):
+    """The content of ``f`` when ``f`` is an atom holding a ``kind``, else None."""
+    return f.content if isinstance(f, Atom) and isinstance(f.content, kind) else None
+
+
 def conjuncts(f: OuterFormula) -> list:
     """The conjuncts of ``f`` left to right, under any bracketing of ``/\\``;
     ``[f]`` when ``f`` is not a conjunction."""

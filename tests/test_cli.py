@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from gradedlogic import (
+    AtomKindError,
+    UnboundVariableError,
     build_score_derivation,
     check_proof,
     parse_proof_script,
@@ -20,6 +22,7 @@ from gradedlogic import (
     render,
     score_theory,
 )
+from gradedlogic import cli
 from gradedlogic.cli import main
 from gradedlogic.syntax import MAX_NESTING
 
@@ -727,6 +730,38 @@ class TestScoreCommand:
         )
         assert code == 0
         assert out.strip() == "accepted"
+
+
+class TestDefectsAreNotInputErrors:
+    """Exit 2 is decided by the exception's type: a plain TypeError or
+    KeyError from inside a command is a defect and leaves ``main`` as it is."""
+
+    def test_plain_type_error_is_raised(self, monkeypatch):
+        def broken(v, f):
+            raise TypeError("planted defect")
+
+        monkeypatch.setattr(cli, "satisfies_formula", broken)
+        with pytest.raises(TypeError, match="planted defect"):
+            main(["eval", "--formula", "p ->[1] p", "--assign", "p=1"])
+
+    def test_plain_key_error_is_raised(self, monkeypatch, tmp_path):
+        def broken(*args):
+            raise KeyError("planted defect")
+
+        theory = tmp_path / "theory.lgi"
+        theory.write_text("top ->[3/5] p\n", encoding="utf-8")
+        monkeypatch.setattr(cli, "find_countermodel", broken)
+        with pytest.raises(KeyError, match="planted defect"):
+            main(["entail", "--theory", str(theory), "--formula", "top ->[1] p",
+                  "--grid-denominator", "2"])
+
+    def test_input_error_types_are_value_errors(self):
+        # what lets main catch ValueError alone, while library callers that
+        # catch TypeError or KeyError see no change
+        assert issubclass(AtomKindError, TypeError)
+        assert issubclass(AtomKindError, ValueError)
+        assert issubclass(UnboundVariableError, KeyError)
+        assert issubclass(UnboundVariableError, ValueError)
 
 
 class TestDemoCommand:

@@ -1,8 +1,9 @@
 """Source hygiene that needs no linter: every module-level import in the
 package is used (``__init__.py`` is exempt, since its imports are the
 public re-exports), every name a function assigns is read, and every
-private module-level name is read somewhere in the package, and every
-name the benchmark's tracer wraps exists."""
+private module-level name is read somewhere in the package, every name
+the benchmark's tracer wraps exists, no ``except`` in the CLI catches
+``TypeError`` or ``KeyError``, and the package stays within its line budget."""
 
 from __future__ import annotations
 
@@ -135,3 +136,39 @@ def test_every_traced_name_exists():
     missing = [f"{getattr(obj, '__name__', 'api')}.{attr}" for obj, attr, _, _ in targets
                if not callable(getattr(obj, attr, None))]
     assert missing == []
+
+
+def _caught_names(source: str) -> set:
+    """The exception names that the ``except`` clauses of ``source`` catch;
+    a bare ``except:`` counts as ``BaseException``."""
+    caught = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler):
+            caught |= {n.id for n in ast.walk(node.type or ast.Name("BaseException"))
+                       if isinstance(n, ast.Name)}
+    return caught
+
+
+def test_cli_catches_no_type_or_key_error():
+    # A TypeError or KeyError out of a command is a defect, not bad input
+    # (input errors reach main as ValueError subclasses), so no handler in
+    # the CLI catches one, by name or through a base class.
+    caught = _caught_names((SRC / "cli.py").read_text(encoding="utf-8"))
+    assert caught & {"TypeError", "KeyError", "LookupError", "Exception",
+                     "BaseException"} == set()
+
+
+def test_detects_a_caught_type_error():
+    source = ("try:\n    f()\nexcept (ValueError, TypeError):\n    pass\n"
+              "try:\n    g()\nexcept KeyError as exc:\n    pass\n"
+              "try:\n    h()\nexcept:\n    raise\n")
+    assert _caught_names(source) == {"ValueError", "TypeError", "KeyError", "BaseException"}
+
+
+# ``wc -l src/gradedlogic/*.py``; it grows only for a feature that needs it.
+SOURCE_LINE_BUDGET = 2_806
+
+
+def test_source_line_budget():
+    lines = sum(path.read_bytes().count(b"\n") for path in SRC.glob("*.py"))
+    assert lines <= SOURCE_LINE_BUDGET

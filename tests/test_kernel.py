@@ -525,6 +525,19 @@ class TestCheckProof:
         assert not verdict.accepted and verdict.line == 0
         assert "out of range" in verdict.reason
 
+    def test_bool_indices_are_rejected(self):
+        # True == 1 would otherwise pass for a theory member or line index
+        lines = (ProofLine(self.THEORY[1], Hyp(True)),)
+        verdict = check_proof(self.THEORY, Proof(self.THEORY, lines))
+        assert verdict == Verdict(False, 0, "hypothesis index True out of range")
+        proof = self._valid_proof()
+        mp = proof.lines[-1]
+        for just in (MP(True, mp.just.major), MP(mp.just.minor, False)):
+            lines = proof.lines[:-1] + (ProofLine(mp.formula, just),)
+            verdict = check_proof(self.THEORY, Proof(self.THEORY, lines))
+            assert verdict == Verdict(False, len(lines) - 1,
+                                      "modus ponens references a later or missing line")
+
     def test_rejects_hypothesis_mismatch(self):
         proof = Proof(self.THEORY, (ProofLine(self.THEORY[0], Hyp(1)),))
         verdict = check_proof(self.THEORY, proof)
@@ -645,6 +658,85 @@ class TestProofBuilder:
         with pytest.raises(ValueError, match=f"hypothesis index {index} out of range"):
             b.hyp(index)
         assert b.lines == []
+
+    @pytest.mark.parametrize("call", [
+        lambda b: b.hyp(True),
+        lambda b: b.mp(-3, -2),
+        lambda b: b.mp(False, 1),
+        lambda b: b.infer(99, Atom(gi(Neg(Q), Neg(P), 1))),
+        lambda b: b.weaken(99, Fraction(1, 2)),
+        lambda b: b.weaken(-1, Fraction(1, 2)),
+        lambda b: b.conjoin(0, 99),
+        lambda b: b.conjoin_all([0, 1, 99]),
+        lambda b: b.conjoin_all([7]),
+        lambda b: b.conjoin_all([]),
+    ], ids=["hyp-bool", "mp-negative", "mp-bool", "infer-past-end", "weaken-past-end",
+            "weaken-negative", "conjoin-past-end", "conjoin_all-late-bad",
+            "conjoin_all-one-bad", "conjoin_all-empty"])
+    def test_bad_index_is_a_value_error_before_any_line(self, call):
+        # lines 0 and 1 fit modus ponens: read as -3 and -2, or with False for 0
+        theory = (Atom(gi(P, Q, 1)), Atom(gi(Q, R, 1)))
+        b = ProofBuilder(theory)
+        b.hyp(0), b.axiom(outer_implies(theory[0], Atom(gi(Neg(Q), Neg(P), 1)))), b.hyp(1)
+        with pytest.raises(ValueError):
+            call(b)
+        assert len(b.lines) == 3
+
+    def test_random_call_sequences_keep_one_index_rule(self):
+        # Indices run from -3 to two past the end, bools included: a call
+        # either raises ValueError and appends nothing, or succeeds, and the
+        # result is a proof the checker accepts and its script reproduces.
+        rng = random.Random(1414)
+        theory = (Atom(gi(P, Q, Fraction(3, 4))), Atom(gi(Q, R, Fraction(1, 2))),
+                  Atom(GradedImplication((P, Q), R, 1)), Atom(GradedVariable("x", 1)))
+        outcomes = set()
+
+        def index(n):
+            return rng.choice((True, False)) if rng.random() < 0.2 \
+                else rng.randint(-3, n + 2)
+
+        def line():
+            return index(len(b.lines))
+
+        def target():  # half the time the neg1 rotation of a unit member
+            if rng.random() < 0.5:
+                g = rng.choice(theory[:2]).content
+                return Atom(gi(Neg(g.consequent), Neg(g.antecedents[0]), g.grade))
+            return Atom(gi(rng.choice((P, Q, R)), rng.choice((P, Q, R)), rand_grade(rng, 4)))
+
+        def premises():  # now and then a pair that fits: an earlier MP's
+            fired = [row.just for row in b.lines if isinstance(row.just, MP)]
+            if fired and rng.random() < 0.3:
+                just = rng.choice(fired)
+                return just.minor, just.major
+            return line(), line()
+
+        calls = (
+            lambda: b.hyp(index(len(theory))),
+            lambda: b.mp(*premises()),
+            lambda: b.infer(line(), target()),
+            lambda: b.conjoin(line(), line()),
+            lambda: b.conjoin_all([line() for _ in range(rng.randint(0, 3))]),
+            lambda: b.weaken(line(), rand_grade(rng, 4)),
+        )
+        for _ in range(400):
+            b = ProofBuilder(theory)
+            for i in range(len(theory)):
+                b.hyp(i)
+            for _ in range(rng.randint(1, 16)):
+                call = rng.randrange(len(calls))
+                before = len(b.lines)
+                try:
+                    calls[call]()
+                except ValueError:
+                    assert len(b.lines) == before
+                    outcomes.add((call, "refused"))
+                else:
+                    outcomes.add((call, "returned"))
+            proof = b.build()
+            assert check_proof(theory, proof).accepted
+            assert parse_proof_script(proof_to_json_lines(proof), theory) == proof
+        assert outcomes == {(c, o) for c in range(6) for o in ("refused", "returned")}
 
     def test_axiom_rejects_non_instances(self):
         b = ProofBuilder(())

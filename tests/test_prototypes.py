@@ -59,6 +59,13 @@ class TestL1Distance:
         with pytest.raises(ValueError):
             l1_distance(world([0]), world([0, 1]))
 
+    @pytest.mark.parametrize("bad", ["1/2", True, 0.5], ids=repr)
+    def test_both_worlds_follow_one_rule(self, bad):
+        # a grade string or a bool is refused on either side, not coerced
+        for w, u in (((F(1, 2),), (bad,)), ((bad,), (F(1, 2),))):
+            with pytest.raises(TypeError, match="is not an int or a Fraction"):
+                l1_distance(w, u)
+
     def test_metric_axioms_fuzz(self):
         rng = random.Random(5501)
         for _ in range(1500):
@@ -78,6 +85,16 @@ class TestPointSets:
             FiniteSet(())
         with pytest.raises(ValueError):
             FiniteSet((world([0, 1]), world([0])))
+        with pytest.raises(ValueError, match="outside"):
+            FiniteSet(((F(3, 2),),))
+
+    def test_finite_set_points_are_fractions(self):
+        s = FiniteSet([[1, F(1, 2)], (0, F(1, 3))])
+        assert s.points == ((F(1), F(1, 2)), (F(0), F(1, 3)))
+        assert all(type(c) is F for p in s.points for c in p)
+        assert s == FiniteSet(((F(1), F(1, 2)), (F(0), F(1, 3))))
+        assert hash(s) == hash(FiniteSet(((F(1), F(1, 2)), (F(0), F(1, 3)))))
+        assert s.denominator == 6
 
     def test_face_validation(self):
         Face(0, F(1))
@@ -687,8 +704,8 @@ class TestMalformedInputs:
                     assert got == (oracle if by_distance else oracle == 0), (s, w, got)
                 elif op == 3:
                     w, u = _fuzz_world(rng, n, k), _fuzz_world(rng, n, k)
-                    got = l1_distance(w, u)  # u is a point, coerced by ``world``
-                    assert _is_world(w, len(w)) and len(world(u)) == len(w), (w, u, got)
+                    got = l1_distance(w, u)
+                    assert _is_world(w, len(w)) and _is_world(u, len(w)), (w, u, got)
                     assert got == _oracle_distance(w, FiniteSet((u,))), (w, u, got)
                 elif op == 4:
                     ev = _fuzz_evaluation(rng, n, k)
