@@ -58,8 +58,10 @@ _EXACT = frozenset((int, Fraction))
 
 
 def world(values: Iterable) -> World:
-    """A point of the cube, coerced to exact coordinates in [0, 1]."""
-    return tuple(as_grade(v) for v in values)
+    """A point of the cube by the world rule (``_lattice``), as Fractions."""
+    w = tuple(values)
+    _lattice(w, len(w), 1)
+    return tuple(map(Fraction, w))
 
 
 def _lattice(w, n: int, denominator: int) -> tuple:

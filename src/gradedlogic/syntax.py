@@ -22,11 +22,11 @@ operator is allowed per level, chains must be parenthesised.  The parser
 never backs up: a term opening with ``(`` is a graded variable, an
 implication or a bracketed formula, decided once from the tokens (see
 ``_Parser``).  ``render`` writes a canonical fully parenthesised form
-through one table keyed by node class; parsing it gives an equal tree.
-A grade is one token, read through ``grades.GRADE_LITERAL`` and made an
-exact rational by ``grades.as_grade``, the one rule for a degree written
-as text; antecedent lists are kept as canonically sorted multisets
-(``multiset``).  The grid search and the prototype regions compile
+through one table keyed by node class, once per node; parsing it gives an
+equal tree.  A grade is one token, read through ``grades.GRADE_LITERAL``
+and made an exact rational by ``grades.as_grade``, the one rule for a
+degree written as text; antecedent lists are kept as canonically sorted
+multisets (``multiset``).  The grid search and the prototype regions compile
 formulas through one ``compile_outer``, given their atom compilers; the
 kernel and the canonical theory recogniser flatten conjunctions through
 one ``conjuncts``; ``atoms`` yields the atoms left to right.
@@ -36,16 +36,37 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Iterator, Union
 
 from .grades import GRADE_LITERAL, Grade, as_grade
 
 class _Syntax:
-    """Base of every syntax node: ``str`` is the canonical text."""
+    """Base of every syntax node: ``str`` is the canonical text.  A node
+    keeps its structural hash and its text, once computed, in the ``_hash``
+    and ``_text`` slots; pickles and copies hold only the fields, so a node
+    loaded in another process hashes afresh under that process's seed."""
+
+    __slots__ = ("_hash", "_text")
 
     def __str__(self) -> str:
         return render(self)
+
+
+def _node(cls):
+    """``cls`` as a frozen, slotted dataclass whose structural hash is cached."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    names = tuple(f.name for f in fields(cls))
+
+    def __hash__(self) -> int:
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash(tuple(map(self.__getattribute__, names)))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -56,8 +77,10 @@ class _Syntax:
 class BasicExpr(_Syntax):
     """Base class for the inner, degree-valued expression level."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+@_node
 class Var(BasicExpr):
     name: str
 
@@ -66,29 +89,29 @@ class Var(BasicExpr):
             raise ValueError(f"invalid variable name {self.name!r}")
 
 
-@dataclass(frozen=True)
+@_node
 class Bottom(BasicExpr):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Top(BasicExpr):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class And(BasicExpr):
     left: BasicExpr
     right: BasicExpr
 
 
-@dataclass(frozen=True)
+@_node
 class Or(BasicExpr):
     left: BasicExpr
     right: BasicExpr
 
 
-@dataclass(frozen=True)
+@_node
 class Strong(BasicExpr):
     """Strong conjunction, interpreted by the session t-norm."""
 
@@ -96,7 +119,7 @@ class Strong(BasicExpr):
     right: BasicExpr
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(BasicExpr):
     expr: BasicExpr
 
@@ -106,7 +129,7 @@ class Neg(BasicExpr):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_node
 class GradedImplication(_Syntax):
     """A crisp claim: the antecedent mean exceeds the consequent by at most 1 - grade.
 
@@ -129,7 +152,8 @@ class GradedImplication(_Syntax):
 
 def multiset(exprs: Iterable[BasicExpr]) -> tuple:
     """``exprs`` in the canonical order of an implication's antecedents."""
-    return tuple(sorted(exprs, key=render))
+    exprs = tuple(exprs)
+    return tuple(sorted(exprs, key=render)) if len(exprs) > 1 else exprs
 
 
 def gi(antecedents: Union[BasicExpr, Iterable[BasicExpr]], consequent: BasicExpr,
@@ -140,7 +164,7 @@ def gi(antecedents: Union[BasicExpr, Iterable[BasicExpr]], consequent: BasicExpr
     return GradedImplication(tuple(antecedents), consequent, grade)
 
 
-@dataclass(frozen=True)
+@_node
 class GradedVariable(_Syntax):
     """An atom asserting that a variable takes a degree exactly."""
 
@@ -160,18 +184,20 @@ class GradedVariable(_Syntax):
 class OuterFormula(_Syntax):
     """Base class for the outer, two-valued formula level."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+@_node
 class Atom(OuterFormula):
     content: Union[GradedImplication, GradedVariable]
 
 
-@dataclass(frozen=True)
+@_node
 class ONot(OuterFormula):
     operand: OuterFormula
 
 
-@dataclass(frozen=True)
+@_node
 class OAnd(OuterFormula):
     left: OuterFormula
     right: OuterFormula
@@ -180,7 +206,7 @@ class OAnd(OuterFormula):
         _check_homogeneous(self)
 
 
-@dataclass(frozen=True)
+@_node
 class OOr(OuterFormula):
     left: OuterFormula
     right: OuterFormula
@@ -288,11 +314,16 @@ def vars_of_formula(f: OuterFormula) -> set:
 
 
 def render(x) -> str:
-    """Canonical concrete text; ``parse_*`` of the result reproduces ``x``."""
+    """Canonical concrete text; ``parse_*`` of the result reproduces ``x``.
+    The text is kept on the node, so each node is rendered once."""
     rule = _RENDER.get(type(x))
     if rule is None:
         raise TypeError(f"cannot render {x!r}")
-    return rule(x)
+    text = getattr(x, "_text", None)
+    if text is None:
+        text = rule(x)
+        object.__setattr__(x, "_text", text)
+    return text
 
 
 # Exact node class -> its rendering.  Every binary node is bracketed, and a
@@ -384,9 +415,10 @@ def _basic_groups(tokens: list) -> set:
 MAX_NESTING = 200
 """The deepest nesting of brackets, ``~`` and ``!`` that parsing accepts.
 
-Parsing, rendering, hashing and every evaluator recurse once or a few times
-per level; this cap keeps all of them under Python's default recursion
-limit of 1000 frames.
+Parsing, every evaluator, and a node's first hash and first rendering
+recurse once or a few times per level; this cap keeps all of them under
+Python's default recursion limit of 1000 frames.  A node keeps its hash and
+text, so later calls recurse only into children not yet hashed or rendered.
 """
 
 

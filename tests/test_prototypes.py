@@ -262,7 +262,7 @@ class TestQEvaluation:
 
 
 class TestWorldRule:
-    """Degrees, regions and distances take worlds as ``world`` gives them."""
+    """Degrees, regions, distances and ``world`` hold a world to one rule."""
 
     @staticmethod
     def calls(w):
@@ -271,9 +271,10 @@ class TestWorldRule:
             "degree": lambda: degree(ev, "d", w),
             "in_region": lambda: in_region(ev, qv("d", F(3, 4)), w),
             "set_distance": lambda: set_distance(w, FiniteSet(((1,),))),
+            "world": lambda: world(w),
         }
 
-    @pytest.mark.parametrize("name", ["degree", "in_region", "set_distance"])
+    @pytest.mark.parametrize("name", ["degree", "in_region", "set_distance", "world"])
     @pytest.mark.parametrize("w, error, message", [
         ((F(3, 2),), ValueError, "world coordinate 3/2 outside [0, 1]"),
         ((-1,), ValueError, "world coordinate -1 outside [0, 1]"),
@@ -292,6 +293,15 @@ class TestWorldRule:
         assert calls["degree"]() == F(w[0])
         assert calls["in_region"]() == (w[0] == F(3, 4))
         assert calls["set_distance"]() == 1 - w[0]
+        assert calls["world"]() == (F(w[0]),) and type(calls["world"]()[0]) is F
+
+    def test_world_refuses_what_a_finite_set_refuses(self):
+        for w in (["1/2", True], [F(1, 2), 0.5], [1, F(5, 4)]):
+            with pytest.raises((TypeError, ValueError)) as by_world:
+                world(w)
+            with pytest.raises(type(by_world.value)) as by_set:
+                FiniteSet((w,))
+            assert str(by_set.value) == str(by_world.value)
 
 
 class TestRegions:

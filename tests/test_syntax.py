@@ -6,11 +6,20 @@ backbone; the rest pins down grammar corner cases and error reporting.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import json
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import gradedlogic
 from gradedlogic import (
     And,
     Atom,
@@ -38,7 +47,7 @@ from gradedlogic import (
     vars_of_basic,
     vars_of_formula,
 )
-from gradedlogic.syntax import MAX_NESTING, conjuncts
+from gradedlogic.syntax import MAX_NESTING, conjuncts, multiset
 
 from fuzz import rand_basic, rand_formula
 
@@ -278,6 +287,74 @@ class TestRoundTrip:
             f = rand_formula(rng, depth=3, mode="gi")
             text = render(f)
             assert render(parse_formula(text)) == text
+
+
+# Loads a pickled node next to the same formula parsed afresh; the parent
+# passes its own hash of that node, which another hash seed must change.
+_UNPICKLE_CHILD = """
+import json, pickle, sys
+from gradedlogic import parse_formula, render
+f = pickle.loads(sys.stdin.buffer.read())
+g = parse_formula(sys.argv[1])
+print(json.dumps({
+    "seed differs": hash(g) != int(sys.argv[2]),
+    "equal": f == g,
+    "same hash": hash(f) == hash(g),
+    "same text": render(f) == sys.argv[1],
+    "found as key": {g: 1}.get(f) == 1 and {f: 1}.get(g) == 1,
+}))
+"""
+
+
+def _cached(x):
+    """``x`` after filling its hash and text caches."""
+    hash(x)
+    render(x)
+    return x
+
+
+class TestNodeCaches:
+    """A node keeps its hash and text once computed; copies and pickles
+    carry the fields only, so they recompute both."""
+
+    def test_pickle_loads_in_a_process_with_another_hash_seed(self):
+        text = "(!(p, q ->[1/2] (r & top)) \\/ ~s ->[3/4] p)"
+        f = _cached(parse_formula(text))
+        package_root = Path(gradedlogic.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(package_root),
+               "PYTHONHASHSEED": "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"}
+        child = subprocess.run(
+            [sys.executable, "-c", _UNPICKLE_CHILD, text, str(hash(f))],
+            input=pickle.dumps(f), env=env, capture_output=True, timeout=60)
+        assert child.returncode == 0, child.stderr.decode()
+        checks = json.loads(child.stdout)
+        assert [name for name, held in checks.items() if not held] == [] and len(checks) == 5
+
+    def test_deepcopy_keeps_equality_hash_and_text(self):
+        rng = random.Random(2105)
+        for _ in range(100):
+            f = _cached(rand_formula(rng, depth=3, mode=rng.choice(("gi", "q"))))
+            g = copy.deepcopy(f)
+            assert g == f and hash(g) == hash(f) and render(g) == render(f)
+
+    def test_replace_renders_the_new_fields(self):
+        v = _cached(GradedVariable("x", Fraction(1, 2)))
+        assert render(dataclasses.replace(v, grade=Fraction(1, 3))) == "(x, 1/3)"
+        e = _cached(And(Var("p"), Var("q")))
+        r = dataclasses.replace(e, right=Neg(Var("q")))
+        assert render(r) == "(p & ~q)" and hash(r) == hash(And(Var("p"), Neg(Var("q"))))
+
+    def test_reparsed_text_hashes_alike(self):
+        rng = random.Random(2106)
+        for _ in range(300):
+            f = rand_formula(rng, depth=3, mode=rng.choice(("gi", "q")))
+            assert str(f) == render(f)
+            assert hash(parse_formula(render(f))) == hash(f)
+
+    def test_a_single_antecedent_is_not_rendered(self):
+        # only two or more antecedents need the sort by text
+        lone = object()
+        assert multiset([lone]) == (lone,) and multiset(()) == ()
 
 
 def _nested(shape: str, depth: int) -> str:
