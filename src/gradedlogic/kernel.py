@@ -416,11 +416,18 @@ def match_tautology(f: OuterFormula, branch_cap: int = DEFAULT_BRANCH_CAP) -> bo
     """Whether ``f`` is classically valid with distinct atoms as independent
     booleans.
 
-    Quine's method: split on the first atom left, substitute true and false,
-    constant-fold, and decide each branch the same way.  A formula over k
-    atoms needs at most 2**k - 1 splits; past ``branch_cap`` splits
-    ResourceLimitError is raised instead.
+    A conjunction step ``phi => (psi => (phi /\\ psi))`` is accepted by its
+    shape alone: it is a substitution instance of the tautology
+    a -> (b -> a /\\ b), and substitution keeps classical validity.  Every
+    other formula goes to Quine's method: split on the first atom left,
+    substitute true and false, constant-fold, and decide each branch the
+    same way.  A formula over k atoms needs at most 2**k - 1 splits; past
+    ``branch_cap`` splits ResourceLimitError is raised instead.
     """
+    phi, rest = implication_parts(f) or (None, None)
+    psi, conj = implication_parts(rest) or (None, None)
+    if isinstance(conj, OAnd) and (conj.left, conj.right) == (phi, psi):
+        return True
     pending = [_compile(f, {})]
     branches = 0
     while pending:
@@ -562,14 +569,18 @@ class ProofBuilder:
         return self.mp(j, self.mp(i, step))
 
     def conjoin_all(self, indices: Sequence[int]) -> int:
-        """Conjoin lines left to right; ValueError, and no line appended, for
-        an empty list, a bad index or lines of mixed atom kinds."""
+        """Conjoin lines into a balanced tree: adjacent lines are paired level
+        by level, and a line left over carries up to the next level, so the
+        depth is about log2 of the count and the conjuncts stay in order.
+        ValueError, and no line appended, for an empty list, a bad index or
+        lines of mixed atom kinds."""
         if len({type(next(atoms(self.formula(i)))) for i in indices}) != 1:
             raise ValueError("conjoin_all needs one or more lines of one atom kind")
-        acc = indices[0]
-        for nxt in indices[1:]:
-            acc = self.conjoin(acc, nxt)
-        return acc
+        level = list(indices)
+        while len(level) > 1:
+            carried = level[-1:] if len(level) % 2 else []
+            level = [self.conjoin(i, j) for i, j in zip(level[::2], level[1::2])] + carried
+        return level[0]
 
     def weaken(self, line: int, target) -> int:
         """Lower the grade of an implication line (any grade not above it).

@@ -51,6 +51,7 @@ from .syntax import (
 )
 
 DEFAULT_GRID_BUDGET = 5_000_000
+_DISTANCES_KEPT = 64
 
 World = tuple
 
@@ -216,6 +217,11 @@ class QEvaluation:
         object.__setattr__(self, "denominator", lcm(*(s.denominator for s in sets)))
         readouts = {v: PCPair(Face(i, ONE), Face(i, ZERO)) for i, v in enumerate(self.basic)}
         object.__setattr__(self, "_readouts", readouts)
+        object.__setattr__(self, "_distances", {})
+
+    def __getstate__(self):
+        # closures do not pickle; a loaded evaluation rebuilds its memo on demand
+        return {**vars(self), "_distances": {}}
 
     @property
     def dimension(self) -> int:
@@ -229,9 +235,17 @@ class QEvaluation:
 
 
 def _distances(ev: QEvaluation, var: str, scale: int) -> tuple:
-    """``_scaled_distance`` to the prototypes and to the counterexamples of ``var``."""
-    pair = ev.pair(var)
-    return _scaled_distance(pair.protos, scale), _scaled_distance(pair.counters, scale)
+    """``_scaled_distance`` to the prototypes and to the counterexamples of ``var``,
+    memoised on ``ev`` per (var, scale) and emptied at ``_DISTANCES_KEPT`` entries."""
+    memo = ev._distances
+    found = memo.get((var, scale))
+    if found is None:
+        pair = ev.pair(var)
+        if len(memo) >= _DISTANCES_KEPT:
+            memo.clear()
+        found = memo[var, scale] = (_scaled_distance(pair.protos, scale),
+                                    _scaled_distance(pair.counters, scale))
+    return found
 
 
 def degree(ev: QEvaluation, var: str, w: World) -> Grade:

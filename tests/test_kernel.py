@@ -14,6 +14,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +58,7 @@ from gradedlogic import (
     outer_implies,
     parse_formula,
     parse_proof_script,
+    parse_theory,
     proof_to_json_lines,
     render,
     satisfies_formula,
@@ -68,7 +70,7 @@ from gradedlogic import (
     verdict_to_dict,
 )
 
-from fuzz import axiom_instance, rand_grade
+from fuzz import axiom_instance, rand_formula, rand_grade
 
 LUK = TNormKind.LUKASIEWICZ
 ALL_KINDS = (LUK, TNormKind.PRODUCT, TNormKind.MINIMUM)
@@ -199,9 +201,9 @@ class TestPinnedOutputs:
     @pytest.mark.parametrize("answers, digest", [
         ("2/3", "ab6b958e69897274562bfbda7ac2a319193c68e272775fd4b057e86e67fe3b68"),
         ("1 3/4 1/2 1/4",
-         "6fd60bc1707bab34ececc88dd0c17dee1b21437da1218a1230615972e119284a"),
+         "253d6d8b88e8b372419fbc39ab8038e924f6ee1ab878b3ef725056d6ceefbfd8"),
         ("0 1/4 1/2 3/4 1 0 1/4 1/2 3/4",
-         "522b82117bd7a72b603e0f663d4efcbf9cbaf1cfa7bef80dd7a4d92f1fadc61c"),
+         "845c7f5b9b97c935db0231be10c0a88785e43ee79417127e3a2cda752beef503"),
     ], ids=["n1", "n4", "n9"])
     def test_score_derivation_bytes(self, answers, digest):
         grades = [Fraction(a) for a in answers.split()]
@@ -382,6 +384,45 @@ class TestTautologies:
             match_tautology(f, branch_cap=254)
         assert match_tautology(f, branch_cap=255)
         assert match_tautology(f)
+
+    def test_conjunction_steps_are_decided_by_shape(self):
+        # phi is the 8-atom parity above: the exact shape needs no split,
+        # while each near miss goes to the budgeted branching and its verdict
+        atoms = [Atom(gi(Var(f"v{i}"), Q, 1)) for i in range(8)]
+        phi = atoms[0]
+        for a in atoms[1:]:
+            phi = OOr(OAnd(phi, ONot(a)), OAnd(ONot(phi), a))
+        psi, chi = Atom(gi(P, R, 1)), Atom(gi(R, P, 1))
+        exact = outer_implies(phi, outer_implies(psi, OAnd(phi, psi)))
+        swapped = outer_implies(phi, outer_implies(psi, OAnd(psi, phi)))
+        other = outer_implies(phi, outer_implies(psi, OAnd(phi, chi)))
+        assert match_tautology(exact, branch_cap=0)
+        for near_miss, verdict in ((swapped, True), (other, False)):
+            with pytest.raises(ResourceLimitError):
+                match_tautology(near_miss, branch_cap=0)
+            assert match_tautology(near_miss) is verdict
+            assert _truth_table(near_miss) is verdict
+        # the checker decides its tautology lines through the same function
+        for f, verdict in ((exact, True), (swapped, True), (other, False)):
+            assert check_proof((), Proof((), (ProofLine(f, Taut()),))).accepted is verdict
+
+    def test_conjunction_shapes_agree_with_truth_table(self):
+        # exact shapes and near misses over tests/fuzz.py formulas; atoms
+        # repeat within a formula in "q" mode, so near misses go both ways
+        rng = random.Random(7302)
+        verdicts = set()
+        for _ in range(400):
+            mode = rng.choice(("gi", "q"))
+            phi, psi, x = (rand_formula(rng, ("p", "q"), 2, mode) for _ in range(3))
+            chi = rng.choice((x, OOr(psi, x), OAnd(psi, x)))
+            exact = outer_implies(phi, outer_implies(psi, OAnd(phi, psi)))
+            assert match_tautology(exact) and _truth_table(exact), render(exact)
+            for conj in (OAnd(psi, phi), OAnd(phi, chi), OAnd(chi, psi), OOr(phi, psi)):
+                near_miss = outer_implies(phi, outer_implies(psi, conj))
+                expected = _truth_table(near_miss)
+                assert match_tautology(near_miss) == expected, render(near_miss)
+                verdicts.add(expected)
+        assert verdicts == {True, False}
 
 
 def _truth_table(f) -> bool:
@@ -914,6 +955,58 @@ class TestScoreDerivation:
             proof = build_score_derivation(n, answers)
             for line in (proof.lines[-2].formula, proof.lines[-1].formula):
                 assert entails_on_grid(proof.theory, line, 8)
+
+    @pytest.mark.parametrize("n", [200, 700, 1000])
+    def test_long_proofs_read_back(self, n):
+        # the conjunctions are balanced, so every line stays within the
+        # parser's nesting limit and the text grows as n log n
+        rng = random.Random(4402 + n)
+        answers = [Fraction(rng.randint(0, 4), 4) for _ in range(n)]
+        proof = build_score_derivation(n, answers)
+        again = parse_proof_script(proof_to_json_lines(proof), proof.theory)
+        assert len(again.lines) == len(proof.lines)
+        assert check_proof(proof.theory, again).accepted
+        d = mean(answers)
+        assert again.lines[-2].formula == Atom(gi(Top(), Var("delta"), d))
+        assert again.lines[-1].formula == Atom(gi(Var("delta"), Bottom(), negate(d)))
+
+    def test_balanced_conjunction_keeps_order(self):
+        theory = tuple(Atom(gi(Top(), Var(f"v{i}"), Fraction(i, 7))) for i in range(7))
+        for count in range(1, 8):
+            b = ProofBuilder(theory)
+            f = b.formula(b.conjoin_all([b.hyp(i) for i in range(count)]))
+            # split every conjunction level by level: the leaves come out in
+            # order after ceil(log2(count)) levels
+            depth, parts = 0, [f]
+            while any(isinstance(g, OAnd) for g in parts):
+                depth += 1
+                parts = [h for g in parts
+                         for h in ((g.left, g.right) if isinstance(g, OAnd) else (g,))]
+            assert parts == list(theory[:count])
+            assert depth == (count - 1).bit_length()
+            assert check_proof(theory, b.build()).accepted
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+class TestLeftNestedScoreProofs:
+    """Score proofs written when ``conjoin_all`` built left-nested chains
+    (the pinned n = 4 and n = 9 derivations) still check."""
+
+    @pytest.mark.parametrize("name, n", [("score_n4", 4), ("score_n9", 9)])
+    def test_still_accepted(self, name, n):
+        theory = parse_theory((FIXTURES / f"{name}.lgi").read_text(encoding="utf-8"))
+        text = (FIXTURES / f"{name}.proof.jsonl").read_text(encoding="utf-8")
+        proof = parse_proof_script(text, theory)
+        assert check_proof(theory, proof).accepted
+        # the floors and the theory implication are one left chain, n deep
+        f = next(line.formula for line in proof.lines
+                 if isinstance(line.formula, OAnd) and line.formula.right == theory[0])
+        depth = 0
+        while isinstance(f, OAnd):
+            f, depth = f.left, depth + 1
+        assert (depth, f) == (n, theory[2])
 
 
 class TestProofSerialisation:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -36,7 +37,7 @@ from gradedlogic import (
     set_distance,
     world,
 )
-from gradedlogic import Var
+from gradedlogic import Var, prototypes
 
 F = Fraction
 
@@ -259,6 +260,26 @@ class TestQEvaluation:
         ev = QEvaluation(("x",), {})
         with pytest.raises(ValueError):
             degree(ev, "x", world([0, 1]))
+
+    def test_memoised_distances_stay_exact_and_bounded(self):
+        # one long-lived evaluation queried at many scales: every degree
+        # matches the oracle, and the memo never outgrows its fixed size
+        rng = random.Random(5506)
+        ev = _random_qevaluation(rng, 2, 3)
+        for den in range(1, 3 * prototypes._DISTANCES_KEPT):
+            w = (F(rng.randint(0, den), den), _coprime_coordinate(rng, 3))
+            for var in ev.basic + tuple(ev.dependent):
+                assert degree(ev, var, w) == _oracle_degree(ev, var, w), (var, w)
+            assert 0 < len(ev._distances) <= prototypes._DISTANCES_KEPT
+        with pytest.raises(UnboundVariableError):
+            degree(ev, "nowhere", w)
+
+    def test_pickles_after_degree_queries(self):
+        ev = canonical_disorder_eval(3, "d")
+        w = (F(1, 2), F(1, 3), F(1))
+        before = degree(ev, "d", w)
+        again = pickle.loads(pickle.dumps(ev))
+        assert again == ev and degree(again, "d", w) == before == F(11, 18)
 
 
 class TestWorldRule:
