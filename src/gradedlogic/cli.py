@@ -56,7 +56,7 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _read(path) -> str:
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         return handle.read()
 
 
@@ -180,14 +180,6 @@ def _safe_name(respondent: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]", "_", respondent) or "anon"
 
 
-def _report_line(report) -> str:
-    status = "agree" if report.agreement else "DISAGREE"
-    return (
-        f"{report.respondent}: mean={report.score_mean} "
-        f"distance={report.score_q} derivation={report.score_lgim} {status}"
-    )
-
-
 def _proof_names(stem: str, sheets) -> list:
     """One proof file name per sheet; refuses two sheets sharing a file."""
     owners: dict = {}
@@ -202,28 +194,35 @@ def _proof_names(stem: str, sheets) -> list:
     return list(owners)
 
 
+def _score_sheets(spec, sheets, kind, out_path=None):
+    """Cross-check the sheets one at a time, in input order, writing each proof
+    beside ``out_path`` (if given) as soon as its sheet is scored.  Keeps only
+    the report lines: returns the JSON lines, the text lines and all-agree."""
+    names = _proof_names(out_path.stem, sheets) if out_path else [None] * len(sheets)
+    lines, texts, agree = [], [], True
+    for sheet, name in zip(sheets, names):
+        report = cross_check(sheet, spec, kind)
+        if name:
+            proof = proof_to_json_lines(report.proof)
+            (out_path.parent / name).write_text(proof, encoding="utf-8")
+        lines.append(json.dumps(report_to_dict(report, name), sort_keys=True))
+        status = "agree" if report.agreement else "DISAGREE"
+        texts.append(f"{report.respondent}: mean={report.score_mean} "
+                     f"distance={report.score_q} derivation={report.score_lgim} {status}")
+        agree = agree and report.agreement
+    return lines, texts, agree
+
+
 def _cmd_score(args) -> int:
     spec = load_spec(args.spec)
     sheets = ingest_answers(args.answers, spec)
     out_path = Path(args.out)
-    proof_names = _proof_names(out_path.stem, sheets)
-    reports = [cross_check(sheet, spec, args.tnorm) for sheet in sheets]
-
-    lines = []
-    for report, proof_name in zip(reports, proof_names):
-        proof_path = out_path.parent / proof_name
-        proof_path.write_text(proof_to_json_lines(report.proof), encoding="utf-8")
-        lines.append(json.dumps(report_to_dict(report, proof_name), sort_keys=True))
-    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    all_agree = all(r.agreement for r in reports)
-    if args.json:
-        for line in lines:
-            print(line)
-    else:
-        for report, line in zip(reports, lines):
-            print(_report_line(report))
-        print(f"wrote {len(reports)} reports to {out_path}")
-    return 0 if all_agree else 1
+    lines, texts, agree = _score_sheets(spec, sheets, args.tnorm, out_path)
+    out_path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    foot = f"wrote {len(lines)} reports to {out_path}"
+    for line in lines if args.json else [*texts, foot]:
+        print(line)
+    return 0 if agree else 1
 
 
 def _cmd_demo(args) -> int:
@@ -232,16 +231,11 @@ def _cmd_demo(args) -> int:
         spec = load_spec(spec_path)
     with resources.as_file(data.joinpath("demo_answers.csv")) as answers_path:
         sheets = ingest_answers(answers_path, spec)
-    reports = [cross_check(sheet, spec, args.tnorm) for sheet in sheets]
-    agree = all(r.agreement for r in reports)
-    if args.json:
-        for report in reports:
-            print(json.dumps(report_to_dict(report, None), sort_keys=True))
-    else:
-        print(f"{spec.name}: {len(spec.items)} items, scale 0..{spec.scale_steps}")
-        for report in reports:
-            print(_report_line(report))
-        print("all three scoring routes agree" if agree else "scoring routes DISAGREE")
+    lines, texts, agree = _score_sheets(spec, sheets, args.tnorm)
+    head = f"{spec.name}: {len(spec.items)} items, scale 0..{spec.scale_steps}"
+    foot = "all three scoring routes agree" if agree else "scoring routes DISAGREE"
+    for line in lines if args.json else [head, *texts, foot]:
+        print(line)
     return 0 if agree else 1
 
 

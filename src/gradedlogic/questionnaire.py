@@ -107,8 +107,8 @@ def spec_from_dict(data: dict) -> QuestionnaireSpec:
 
 
 def load_spec(path) -> QuestionnaireSpec:
-    """Read a questionnaire spec from a JSON file."""
-    with open(path, encoding="utf-8") as handle:
+    """Read a questionnaire spec from a JSON file; a leading UTF-8 BOM is skipped."""
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             data = json.load(handle)
         except json.JSONDecodeError as exc:
@@ -143,8 +143,8 @@ def sheet_from_raw(spec: QuestionnaireSpec, respondent: str,
 
 
 def ingest_answers(path, spec: QuestionnaireSpec) -> list:
-    """Read an answers CSV: header ``respondent,<item ids...>``, integer cells.
-    A leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped."""
+    """Read an answers CSV: header ``respondent,<item ids...>``, cells of ASCII
+    digits.  A leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped."""
     with open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -165,8 +165,11 @@ def ingest_answers(path, spec: QuestionnaireSpec) -> list:
                     continue
                 if len(row) != len(columns) + 1:
                     raise ValueError(f"{path}: line {lineno} has {len(row)} cells")
-                try:
-                    raw = {c: int(cell) for c, cell in zip(columns, row[1:])}
+                cells = [cell.strip() for cell in row[1:]]
+                try:  # ASCII digits only: int() alone also reads "1_0", "+3" and "٣"
+                    if not all(cell.isascii() and cell.isdigit() for cell in cells):
+                        raise ValueError
+                    raw = dict(zip(columns, map(int, cells)))
                 except ValueError:
                     raise ValueError(f"{path}: line {lineno} has a non-integer cell") from None
                 sheets.append(sheet_from_raw(spec, row[0], raw))

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import codecs
 import csv
+import gc
 import hashlib
 import json
 import time
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -730,6 +733,99 @@ class TestScoreCommand:
         )
         assert code == 0
         assert out.strip() == "accepted"
+
+
+    @pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+    def test_no_respondents_writes_an_empty_reports_file(self, inputs, capsys,
+                                                          json_mode):
+        spec, _, tmp_path = inputs
+        answers = tmp_path / "header.csv"
+        answers.write_text("respondent,m1,m2\n", encoding="utf-8")
+        out_path = tmp_path / "reports.jsonl"
+        argv = ["score", "--spec", spec, "--answers", str(answers),
+                "--out", str(out_path)] + ["--json"] * json_mode
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out_path.read_bytes() == b""
+        assert out == ("" if json_mode else f"wrote 0 reports to {out_path}\n")
+        assert not list(tmp_path.glob("*.proof.jsonl"))
+
+    # int() alone reads the first five as integers (Arabic-Indic and
+    # fullwidth three among them) and refuses the rest
+    @pytest.mark.parametrize("cell", ["1_0", "+3", "-0", "\u0663", "\uff13",
+                                      "\u00b3", "3.0", "0x1", "1 0", ""])
+    def test_answer_cells_are_ascii_digits(self, inputs, capsys, cell):
+        spec, _, tmp_path = inputs
+        answers = tmp_path / "cells.csv"
+        answers.write_text(f"respondent,m1,m2\nalice,{cell},2\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "score", "--spec", spec, "--answers", str(answers),
+            "--out", str(tmp_path / "r.jsonl"),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {answers}: line 2 has a non-integer cell\n"
+
+    @pytest.mark.parametrize("cell", [" 4", "4 ", "\t4\t", "\u00a04", "04"])
+    def test_whitespace_and_leading_zeros_around_digits(self, inputs, capsys, cell):
+        spec, _, tmp_path = inputs
+        answers = tmp_path / "cells.csv"
+        answers.write_text(f"respondent,m1,m2\nalice,{cell},2\n", encoding="utf-8")
+        code, out, _ = run(
+            capsys, "score", "--spec", spec, "--answers", str(answers),
+            "--out", str(tmp_path / "r.jsonl"),
+        )
+        assert code == 0
+        assert out.startswith("alice: mean=3/4 distance=3/4 derivation=3/4 agree\n")
+
+    def test_no_proof_outlives_its_sheet(self, inputs, capsys, monkeypatch):
+        spec, _, tmp_path = inputs
+        answers = tmp_path / "twenty.csv"
+        answers.write_text("respondent,m1,m2\n" + "".join(
+            f"r{i},{i % 5},{i * 3 % 5}\n" for i in range(20)), encoding="utf-8")
+        serialised = []
+
+        def serialise(proof):
+            gc.collect()
+            alive = [i for i, ref in enumerate(serialised) if ref() is not None]
+            assert alive == [], f"proofs {alive} outlived their sheets"
+            serialised.append(weakref.ref(proof))
+            return proof_to_json_lines(proof)
+
+        monkeypatch.setattr(cli, "proof_to_json_lines", serialise)
+        code, out, _ = run(
+            capsys, "score", "--spec", spec, "--answers", str(answers),
+            "--out", str(tmp_path / "r.jsonl"),
+        )
+        assert code == 0
+        assert len(serialised) == 20
+        assert out.endswith(f"wrote 20 reports to {tmp_path / 'r.jsonl'}\n")
+
+
+class TestByteOrderMark:
+    """Every input file may start with a UTF-8 byte-order mark, as some
+    editors and spreadsheet exports write; the output is the same."""
+
+    @pytest.mark.parametrize("kind", ["theory", "proof", "spec", "answers"])
+    def test_same_stdout_with_and_without(self, kind, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        proof = build_score_derivation(2, [Fraction(1, 2), Fraction(1)])
+        files = {
+            "theory": "\n".join(render(f) for f in proof.theory) + "\n",
+            "proof": proof_to_json_lines(proof),
+            "spec": json.dumps(DEMO_SPEC),
+            "answers": "respondent,m1,m2\nalice,4,2\nbob,0,1\n",
+        }
+        for name, text in files.items():
+            Path(name).write_text(text, encoding="utf-8")
+        if kind in ("theory", "proof"):
+            argv = ("check-proof", "--theory", "theory", "--proof", "proof")
+        else:
+            argv = ("score", "--spec", "spec", "--answers", "answers", "--out", "r.jsonl")
+        plain = run(capsys, *argv)
+        assert plain[0] == 0
+        Path(kind).write_text(files[kind], encoding="utf-8-sig")
+        assert Path(kind).read_bytes().startswith(codecs.BOM_UTF8)
+        assert run(capsys, *argv) == plain
 
 
 class TestDefectsAreNotInputErrors:
