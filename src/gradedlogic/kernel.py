@@ -771,9 +771,10 @@ def parse_proof_script(text: str, theory: Sequence[OuterFormula]) -> Proof:
     naming the 0-based proof line, blank lines not counted, as verdicts and
     ``mp`` indices do; the logical content is judged later by ``check_proof``.
     Proof files written with ``params`` on axiom lines or ``atoms`` on
-    tautology lines still parse; both keys are ignored.
+    tautology lines still parse; both keys are ignored.  All lines share one
+    ``parse_formula`` memo.
     """
-    lines = []
+    lines, memo = [], {}
     for raw in text.splitlines():
         stripped = raw.strip()
         if not stripped:
@@ -792,7 +793,7 @@ def parse_proof_script(text: str, theory: Sequence[OuterFormula]) -> Proof:
         if not isinstance(obj["formula"], str):
             raise ValueError(f"proof line {lineno}: formula must be a string")
         try:
-            formula = parse_formula(obj["formula"])
+            formula = parse_formula(obj["formula"], memo)
         except ParseError as exc:
             raise ValueError(f"proof line {lineno}: {exc}") from None
         lines.append(ProofLine(formula, _just_from_dict(obj["just"], lineno)))

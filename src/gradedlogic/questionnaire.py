@@ -166,12 +166,14 @@ def ingest_answers(path, spec: QuestionnaireSpec) -> list:
                 if len(row) != len(columns) + 1:
                     raise ValueError(f"{path}: line {lineno} has {len(row)} cells")
                 cells = [cell.strip() for cell in row[1:]]
-                try:  # ASCII digits only: int() alone also reads "1_0", "+3" and "٣"
-                    if not all(cell.isascii() and cell.isdigit() for cell in cells):
-                        raise ValueError
-                    raw = dict(zip(columns, map(int, cells)))
-                except ValueError:
-                    raise ValueError(f"{path}: line {lineno} has a non-integer cell") from None
+                # ASCII digits only: int() alone also reads "1_0", "+3" and "٣"
+                if not all(cell.isascii() and cell.isdigit() for cell in cells):
+                    raise ValueError(f"{path}: line {lineno} has a non-integer cell")
+                try:  # leading zeros do not count against int()'s digit limit
+                    raw = {c: int(cell.lstrip("0") or "0") for c, cell in zip(columns, cells)}
+                except ValueError:  # more digits than that is past any scale
+                    raise ValueError(f"{path}: line {lineno} has a cell too long "
+                                     f"to be in 0..{spec.scale_steps}") from None
                 sheets.append(sheet_from_raw(spec, row[0], raw))
         except csv.Error as exc:  # e.g. a cell above the field size limit
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None

@@ -391,20 +391,29 @@ def _tokenize(text: str) -> list:
             return tokens
 
 
-def _basic_groups(tokens: list) -> set:
+def _token_var(name: str) -> Var:
+    """``Var(name)`` for an IDENT token, whose name the tokenizer checked."""
+    var = object.__new__(Var)
+    object.__setattr__(var, "name", name)
+    return var
+
+
+def _basic_groups(tokens: list) -> tuple:
     """Indices of the ``(`` whose bracket group holds only basic-expression
-    tokens, counting a group still open at the end of input."""
-    marked, opened, foreign = set(), [], 0
+    tokens, counting a group still open at the end of input; and a map from
+    each closed ``(`` to the index of its ``)``."""
+    marked, close, opened, foreign = set(), {}, [], 0
     for i, tok in enumerate(tokens[:-1]):
         if tok.kind == "(":
             opened.append((i, foreign))
         elif tok.kind == ")" and opened:
             start, before = opened.pop()
+            close[start] = i
             if foreign == before:
                 marked.add(start)
         elif tok.kind not in _BASIC_KINDS:
             foreign += 1
-    return marked | {start for start, before in opened if before == foreign}
+    return marked | {start for start, before in opened if before == foreign}, close
 
 
 # ---------------------------------------------------------------------------
@@ -435,11 +444,11 @@ class _Parser:
     ParseError at the first token it cannot accept.
     """
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, memo: dict):  # memo: see parse_formula
+        self.text, self.memo = text, memo
         self.tokens = _tokenize(text)
-        self.basic_groups = _basic_groups(self.tokens)
-        self.pos = 0
-        self.depth = 0
+        self.basic_groups, self.close = _basic_groups(self.tokens)
+        self.pos = self.depth = self.peak = 0  # peak: deepest level reached
 
     # -- machinery ----------------------------------------------------------
 
@@ -460,8 +469,10 @@ class _Parser:
     def _descend(self, tok: _Token) -> None:
         """One nesting level deeper, at ``tok``; callers step back up."""
         self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.pos)
+        if self.depth > self.peak:
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.pos)
+            self.peak = self.depth
 
     def _bracketed(self, inside: Callable):
         """``( inside )``, one nesting level deeper."""
@@ -487,7 +498,7 @@ class _Parser:
         tok = self._peek()
         if tok.kind == "IDENT":
             self._advance()
-            return Var(tok.text)
+            return self._leaf(tok, _token_var)
         if tok.kind == "top":
             self._advance()
             return Top()
@@ -507,11 +518,17 @@ class _Parser:
     # -- atoms ----------------------------------------------------------------
 
     def grade(self) -> Grade:
-        tok = self._expect("NUM", "a grade literal")
-        try:
-            return as_grade(tok.text)
-        except ValueError as exc:
-            raise ParseError(str(exc), tok.pos) from None
+        return self._leaf(self._expect("NUM", "a grade literal"), as_grade)
+
+    def _leaf(self, tok: _Token, build: Callable):
+        """``build(tok.text)``, once per memo; a ValueError is a ParseError at ``tok``."""
+        value = self.memo.get(tok.text)
+        if value is None:
+            try:
+                value = self.memo[tok.text] = build(tok.text)
+            except ValueError as exc:
+                raise ParseError(str(exc), tok.pos) from None
+        return value
 
     def gi_atom(self) -> Atom:
         antecedents = [self.basic()]
@@ -542,10 +559,19 @@ class _Parser:
             return node
         if tok.kind != "(" or i in self.basic_groups:
             return self.gi_atom()
-        if (t[i + 1].kind == "IDENT" and t[i + 2].kind == ","
-                and t[i + 3].kind not in _BASIC_START):
-            return self._bracketed(self.q_atom)
-        return self._bracketed(self.formula)
+        end = self.close.get(i, i)  # an unclosed group fails to parse below
+        key = self.text[tok.pos:t[end].pos + 1]
+        hit = self.memo.get(key)
+        if hit is not None and self.depth + hit[1] <= MAX_NESTING:
+            self.pos, self.peak = end + 1, max(self.peak, self.depth + hit[1])
+            return hit[0]
+        outer_peak, self.peak = self.peak, self.depth
+        graded_var = (t[i + 1].kind == "IDENT" and t[i + 2].kind == ","
+                      and t[i + 3].kind not in _BASIC_START)
+        node = self._bracketed(self.q_atom if graded_var else self.formula)
+        self.memo[key] = (node, self.peak - self.depth)
+        self.peak = max(outer_peak, self.peak)
+        return node
 
     def formula(self) -> OuterFormula:
         left = self.term()
@@ -566,15 +592,26 @@ class _Parser:
 
 def parse_basic(text: str) -> BasicExpr:
     """Parse a basic expression; raises ParseError with an offset on failure."""
-    parser = _Parser(text)
+    parser = _Parser(text, {})
     expr = parser.basic()
     parser._expect("EOF", "end of input")
     return expr
 
 
-def parse_formula(text: str) -> OuterFormula:
-    """Parse an outer formula (graded-implication or graded-variable atoms)."""
-    parser = _Parser(text)
+def parse_formula(text: str, memo: Union[dict, None] = None) -> OuterFormula:
+    """Parse an outer formula (graded-implication or graded-variable atoms).
+
+    ``memo``, a dict kept across the formulas of one script, maps the text
+    of each bracketed subformula parsed (its only keys that start with
+    ``(``) to its node and nesting height, and of each name and grade to its
+    value.  Text seen before is reused where it nests within MAX_NESTING, so
+    a script is parsed once, packrat-style, and results and errors are as
+    without ``memo``."""
+    if memo is None:
+        memo = {}
+    elif text.startswith("(") and text in memo:
+        return memo[text][0]
+    parser = _Parser(text, memo)
     f = parser.formula()
     parser._expect("EOF", "end of input (parenthesise chained operators)")
     return f

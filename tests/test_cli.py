@@ -777,6 +777,34 @@ class TestScoreCommand:
         assert code == 0
         assert out.startswith("alice: mean=3/4 distance=3/4 derivation=3/4 agree\n")
 
+    # int() refuses more than 4,300 digits, so these were "non-integer" cells;
+    # leading zeros do not count, and a cell with more digits is past any scale
+    @pytest.mark.parametrize("cell", ["0" * 5000 + "4", "0" * 4301 + "4"],
+                             ids=["5000_zeros", "4301_zeros"])
+    def test_leading_zeros_past_the_digit_limit(self, inputs, capsys, cell):
+        spec, _, tmp_path = inputs
+        answers = tmp_path / "long.csv"
+        answers.write_text(f"respondent,m1,m2\nalice,{cell},2\n", encoding="utf-8")
+        code, out, _ = run(
+            capsys, "score", "--spec", spec, "--answers", str(answers),
+            "--out", str(tmp_path / "r.jsonl"),
+        )
+        assert code == 0
+        assert out.startswith("alice: mean=3/4 distance=3/4 derivation=3/4 agree\n")
+
+    @pytest.mark.parametrize("cell", ["1" + "0" * 5000, "0" * 5000 + "9" * 4301],
+                             ids=["5001_digits", "4301_digits_after_zeros"])
+    def test_cells_past_the_digit_limit_are_out_of_range(self, inputs, capsys, cell):
+        spec, _, tmp_path = inputs
+        answers = tmp_path / "long.csv"
+        answers.write_text(f"respondent,m1,m2\nalice,{cell},2\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "score", "--spec", spec, "--answers", str(answers),
+            "--out", str(tmp_path / "r.jsonl"),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {answers}: line 2 has a cell too long to be in 0..4\n"
+
     def test_no_proof_outlives_its_sheet(self, inputs, capsys, monkeypatch):
         spec, _, tmp_path = inputs
         answers = tmp_path / "twenty.csv"

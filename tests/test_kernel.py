@@ -70,7 +70,10 @@ from gradedlogic import (
     verdict_to_dict,
 )
 
-from fuzz import axiom_instance, rand_formula, rand_grade
+import gradedlogic.kernel as kernel_module
+from gradedlogic.syntax import MAX_NESTING
+
+from fuzz import axiom_instance, rand_basic, rand_formula, rand_grade
 
 LUK = TNormKind.LUKASIEWICZ
 ALL_KINDS = (LUK, TNormKind.PRODUCT, TNormKind.MINIMUM)
@@ -1090,3 +1093,146 @@ class TestProofSerialisation:
         proof = parse_proof_script(script, ())
         verdict = check_proof((), proof)
         assert not verdict.accepted and verdict.line == 0
+
+
+def _chain_proof(rng: random.Random, length: int) -> Proof:
+    """A chain A0 ->[c1] A1, ..., composed by conjunction, a trans1 bridge
+    and MP at each step, then weakened."""
+    exprs = []
+    while len(exprs) < length + 1:
+        e = rand_basic(rng, depth=2)
+        if e not in exprs:
+            exprs.append(e)
+    grades = [Fraction(rng.randint(15, 16), 16) for _ in range(length)]
+    theory = tuple(Atom(gi(exprs[j], exprs[j + 1], grades[j])) for j in range(length))
+    b = ProofBuilder(theory)
+    acc, grade = b.hyp(0), grades[0]
+    for j in range(1, length):
+        pair = b.conjoin(acc, b.hyp(j))
+        grade = max(grade + grades[j] - 1, Fraction(0))
+        concl = Atom(gi(exprs[0], exprs[j + 1], grade))
+        acc = b.mp(pair, b.axiom(outer_implies(b.lines[pair].formula, concl)))
+    b.weaken(acc, grade * Fraction(rng.randint(0, 3), 4))
+    return b.build()
+
+
+def _read(text: str, theory) -> object:
+    """The lines ``parse_proof_script`` reads, or the message it raises."""
+    try:
+        return parse_proof_script(text, theory).lines
+    except ValueError as exc:
+        return str(exc)
+
+
+# Formula text, one piece of which replaces a span of a script
+_PIECES = ["(", ")", "!", "!(", "~", " /\\\\ ", " \\\\/ ", " => ", ", ", "1", "1/2",
+           "0.25", "x01", "top", "bot", "[", "]", " ->[", "(x01, 1)", "", " ", '"', "{"]
+
+
+def _mutate(rng: random.Random, script: str) -> str:
+    """``script`` with one to three spans replaced by a formula piece: at one
+    place, or wherever the span's text occurs, so that lines restating an
+    earlier line restate the change too."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(script))
+        span, piece = script[i:i + rng.randint(1, 6)], rng.choice(_PIECES)
+        if rng.random() < 0.5:
+            script = script.replace(span, piece)
+        else:
+            script = script[:i] + piece + script[i + len(span):]
+    return script
+
+
+class TestScriptParseMemo:
+    """``parse_proof_script`` shares one ``parse_formula`` memo across the
+    lines of a script; its lines and errors are those of a fresh parse of
+    every line."""
+
+    @staticmethod
+    def _read_fresh(monkeypatch, text, theory):
+        with monkeypatch.context() as patch:
+            patch.setattr(kernel_module, "parse_formula", lambda text, memo: parse_formula(text))
+            return _read(text, theory)
+
+    def test_same_lines_and_errors_as_fresh_parses(self, monkeypatch):
+        rng = random.Random(4500)
+        scripts = []
+        for n in (1, 2, 3, 5, 8, 13, 21, 200):
+            answers = [Fraction(rng.randint(0, 4), 4) for _ in range(n)]
+            scripts.append((build_score_derivation(n, answers), n <= 21))
+        for length in (2, 3, 5, 8):
+            scripts.append((_chain_proof(rng, length), True))
+        outcomes = set()
+        for proof, mutants in scripts:
+            text = proof_to_json_lines(proof)
+            assert _read(text, proof.theory) == proof.lines
+            assert self._read_fresh(monkeypatch, text, proof.theory) == proof.lines
+            assert check_proof(proof.theory, parse_proof_script(text, proof.theory)).accepted
+            for _ in range(40 if mutants else 0):
+                mutant = _mutate(rng, text)
+                lines = _read(mutant, proof.theory)
+                assert lines == self._read_fresh(monkeypatch, mutant, proof.theory), mutant
+                outcomes.add(type(lines))
+        assert outcomes == {str, tuple}  # mutants both parse and fail
+
+    def test_a_group_reused_too_deep_fails_as_a_fresh_parse(self, monkeypatch):
+        group = "(" * 10 + "x, 1" + ")" * 10  # nests 10 levels deep
+        pair = f"({group} /\\ {group})"  # 11 levels, the second group a reuse
+        lines = [group, "!" * (MAX_NESTING - 10) + group, pair,
+                 "!" * (MAX_NESTING - 11) + pair, "!" * (MAX_NESTING - 10) + pair]
+        script = "".join(json.dumps({"formula": f, "just": {"kind": "axiom"}}) + "\n"
+                         for f in lines)
+        error = _read(script, ())
+        # Lines 1 and 3 reuse stored groups, exactly filling the limit; the
+        # pair's stored height counts its reused groups.  Line 4 reaches level
+        # 201 at the last "(" of its first group, at offset 190 + 1 + 9.
+        assert error == (f"proof line 4: syntax error at offset {MAX_NESTING}: "
+                         f"nesting deeper than {MAX_NESTING} levels")
+        assert self._read_fresh(monkeypatch, script, ()) == error
+        proof = parse_proof_script("".join(script.splitlines(True)[:4]), ())
+        assert [line.formula for line in proof.lines] == [parse_formula(f) for f in lines[:4]]
+
+    @pytest.mark.parametrize("line", ["p", "1/2", "(p, 1/2)"], ids=["name", "grade", "group"])
+    def test_a_line_that_restates_a_leaf(self, monkeypatch, line):
+        # names and grades share the memo with groups; a bare one is no formula
+        script = "".join(json.dumps({"formula": f, "just": {"kind": "axiom"}}) + "\n"
+                         for f in ("!((p, 1/2))", "p ->[1] p", line))
+        outcome = _read(script, ())
+        assert outcome == self._read_fresh(monkeypatch, script, ())
+        assert isinstance(outcome, tuple) == (line == "(p, 1/2)")
+
+    def test_equal_subformulas_are_one_object(self):
+        # each line whose text is one bracketed group: every later equal
+        # subformula is that line's own node
+        rng = random.Random(4501)
+        proof = build_score_derivation(21, [Fraction(rng.randint(0, 4), 4) for _ in range(21)])
+        again = parse_proof_script(proof_to_json_lines(proof), proof.theory)
+        first, checked = {}, 0
+        for line in again.lines:
+            pending, seen = [line.formula], set()
+            while pending:
+                f = pending.pop()
+                if id(f) in seen:
+                    continue
+                seen.add(id(f))
+                if render(f) in first:
+                    assert f is first[render(f)]
+                    checked += 1
+                if isinstance(f, ONot):
+                    pending.append(f.operand)
+                elif isinstance(f, (OAnd, OOr)):
+                    pending += (f.left, f.right)
+            text = render(line.formula)
+            if _one_group(text):
+                first.setdefault(text, line.formula)
+        assert checked > len(again.lines)
+
+
+def _one_group(text: str) -> bool:
+    """Whether ``text`` is one bracketed group, its first ``(`` closed last."""
+    depth = 0
+    for i, c in enumerate(text):
+        depth += (c == "(") - (c == ")")
+        if depth == 0:
+            return i == len(text) - 1
+    return False
