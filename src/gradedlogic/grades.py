@@ -41,7 +41,8 @@ def as_grade(value: GradeLike) -> Grade:
     Accepts Fractions (returned as they are), ints, and strings matching
     ``GRADE_LITERAL``, the formula grammar's grade: "p/q" or a decimal
     ("0.25" is exactly 1/4), with no sign, exponent, underscore or bare ".5".
-    Floats are rejected: they would smuggle binary rounding into comparisons.
+    Floats are rejected: they would smuggle binary rounding into comparisons;
+    so are bools, which are not degrees.
     """
     grade = value
     if isinstance(value, str):
@@ -54,9 +55,10 @@ def as_grade(value: GradeLike) -> Grade:
             raise ValueError("grade literal has too many digits") from None
         except ZeroDivisionError:
             raise ValueError(f"degree {value!r} has a zero denominator") from None
-    elif isinstance(value, float):
-        raise TypeError("degrees must be exact; pass a Fraction, int, or string, not float")
     elif type(value) is not Fraction:
+        if isinstance(value, (float, bool)):
+            raise TypeError("degrees must be exact; pass a Fraction, int, or string,"
+                            f" not {type(value).__name__}")
         grade = Fraction(value)
     if not 0 <= grade.numerator <= grade.denominator:
         raise ValueError(f"degree {value} outside [0, 1]")

@@ -300,9 +300,9 @@ def satisfied_on_grid(
     """Does the region of ``f`` cover every grid world?  Grid verdicts only."""
     scale = lcm(ev.denominator, k)
     steps = _grid_steps(k, scale)
-    points = len(steps) ** ev.dimension
-    if points > max_points:
-        raise ResourceLimitError(f"grid of {points} worlds exceeds the budget of {max_points}")
+    if len(steps) ** ev.dimension > max_points:
+        raise ResourceLimitError(f"grid of {len(steps)}**{ev.dimension} worlds"
+                                 f" exceeds the budget of {max_points}")
     return all(map(_region(ev, f, scale), itertools.product(steps, repeat=ev.dimension)))
 
 

@@ -224,11 +224,9 @@ def find_countermodel(
     for t in theory:
         names |= vars_of_formula(t)
     ordered = sorted(names)
-    points = (denominator + 1) ** len(ordered)
-    if points > max_points:
-        raise ResourceLimitError(
-            f"grid of {points} evaluations exceeds the budget of {max_points}"
-        )
+    if (denominator + 1) ** len(ordered) > max_points:
+        raise ResourceLimitError(f"grid of {denominator + 1}**{len(ordered)} evaluations"
+                                 f" exceeds the budget of {max_points}")
     compile_formula = _grid_compiler(ordered, denominator, kind)
     members = [compile_formula(t) for t in theory]
     goal = compile_formula(formula)

@@ -379,41 +379,30 @@ class ParseError(ValueError):
         super().__init__(f"syntax error at {where}: {message}")
 
 
-def _tokenize(text: str) -> list:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
+def _tokenize(text: str) -> tuple:
+    """The tokens of ``text``; the indices of the ``(`` whose bracket group
+    holds only basic-expression tokens, counting a group still open at the
+    end of input; and a map from each closed ``(`` to the index of its ``)``."""
+    tokens, basic, close, opened, foreign = [], set(), {}, [], 0
+    for i, m in enumerate(_TOKEN_RE.finditer(text)):
         kind = m.lastgroup
         word, pos = m[kind], m.start(kind)
         if kind == "bad":
             raise ParseError(f"unexpected character {word!r}", pos)
-        tokens.append(_Token(word if kind == "op" or word in ("top", "bot") else kind, word, pos))
-        if kind == "EOF":
-            return tokens
-
-
-def _token_var(name: str) -> Var:
-    """``Var(name)`` for an IDENT token, whose name the tokenizer checked."""
-    var = object.__new__(Var)
-    object.__setattr__(var, "name", name)
-    return var
-
-
-def _basic_groups(tokens: list) -> tuple:
-    """Indices of the ``(`` whose bracket group holds only basic-expression
-    tokens, counting a group still open at the end of input; and a map from
-    each closed ``(`` to the index of its ``)``."""
-    marked, close, opened, foreign = set(), {}, [], 0
-    for i, tok in enumerate(tokens[:-1]):
-        if tok.kind == "(":
+        if kind == "op" or word in ("top", "bot"):
+            kind = word
+        tokens.append(_Token(kind, word, pos))
+        if kind == "(":
             opened.append((i, foreign))
-        elif tok.kind == ")" and opened:
+        elif kind == ")" and opened:
             start, before = opened.pop()
             close[start] = i
             if foreign == before:
-                marked.add(start)
-        elif tok.kind not in _BASIC_KINDS:
+                basic.add(start)
+        elif kind == "EOF":
+            return tokens, basic | {start for start, before in opened if before == foreign}, close
+        elif kind not in _BASIC_KINDS:
             foreign += 1
-    return marked | {start for start, before in opened if before == foreign}, close
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +435,7 @@ class _Parser:
 
     def __init__(self, text: str, memo: dict):  # memo: see parse_formula
         self.text, self.memo = text, memo
-        self.tokens = _tokenize(text)
-        self.basic_groups, self.close = _basic_groups(self.tokens)
+        self.tokens, self.basic_groups, self.close = _tokenize(text)
         self.pos = self.depth = self.peak = 0  # peak: deepest level reached
 
     # -- machinery ----------------------------------------------------------
@@ -466,19 +454,24 @@ class _Parser:
             raise ParseError(f"expected {what}", tok.pos)
         return self._advance()
 
-    def _descend(self, tok: _Token) -> None:
-        """One nesting level deeper, at ``tok``; callers step back up."""
-        self.depth += 1
-        if self.depth > self.peak:
-            if self.depth > MAX_NESTING:
-                raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.pos)
-            self.peak = self.depth
+    def _reach(self, level: int) -> bool:
+        """Note that parsing reached nesting ``level``; False past MAX_NESTING."""
+        if level > self.peak:
+            if level > MAX_NESTING:
+                return False
+            self.peak = level
+        return True
 
-    def _bracketed(self, inside: Callable):
-        """``( inside )``, one nesting level deeper."""
-        self._descend(self._advance())
+    def _nested(self, inside: Callable):
+        """``inside()`` one nesting level deeper, past the opening ``~``, ``!``
+        or ``(``, and then the ``)`` that closes a ``(``."""
+        tok = self._advance()
+        self.depth += 1
+        if not self._reach(self.depth):
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.pos)
         node = inside()
-        self._expect(")", "')'")
+        if tok.kind == "(":
+            self._expect(")", "')'")
         self.depth -= 1
         return node
 
@@ -486,33 +479,24 @@ class _Parser:
 
     def basic(self) -> BasicExpr:
         left = self.unary()
-        kind = self._peek().kind
-        if kind in ("&", "|", "*"):
-            self._advance()
-            right = self.unary()
-            node = {"&": And, "|": Or, "*": Strong}[kind]
-            left = node(left, right)
-        return left
+        node = _BASIC_OPS.get(self._peek().kind)
+        if node is None:
+            return left
+        self._advance()
+        return node(left, self.unary())
 
     def unary(self) -> BasicExpr:
         tok = self._peek()
         if tok.kind == "IDENT":
             self._advance()
-            return self._leaf(tok, _token_var)
-        if tok.kind == "top":
+            return self._leaf(tok, Var)
+        if tok.kind in ("top", "bot"):
             self._advance()
-            return Top()
-        if tok.kind == "bot":
-            self._advance()
-            return Bottom()
+            return Top() if tok.kind == "top" else Bottom()
         if tok.kind == "~":
-            self._advance()
-            self._descend(tok)
-            node = Neg(self.unary())
-            self.depth -= 1
-            return node
+            return Neg(self._nested(self.unary))
         if tok.kind == "(":
-            return self._bracketed(self.basic)
+            return self._nested(self.basic)
         raise ParseError("expected a basic expression", tok.pos)
 
     # -- atoms ----------------------------------------------------------------
@@ -552,23 +536,19 @@ class _Parser:
     def term(self) -> OuterFormula:
         tok, i, t = self._peek(), self.pos, self.tokens
         if tok.kind == "!":
-            self._advance()
-            self._descend(tok)
-            node = ONot(self.term())
-            self.depth -= 1
-            return node
+            return ONot(self._nested(self.term))
         if tok.kind != "(" or i in self.basic_groups:
             return self.gi_atom()
         end = self.close.get(i, i)  # an unclosed group fails to parse below
         key = self.text[tok.pos:t[end].pos + 1]
         hit = self.memo.get(key)
-        if hit is not None and self.depth + hit[1] <= MAX_NESTING:
-            self.pos, self.peak = end + 1, max(self.peak, self.depth + hit[1])
+        if hit is not None and self._reach(self.depth + hit[1]):
+            self.pos = end + 1
             return hit[0]
         outer_peak, self.peak = self.peak, self.depth
         graded_var = (t[i + 1].kind == "IDENT" and t[i + 2].kind == ","
                       and t[i + 3].kind not in _BASIC_START)
-        node = self._bracketed(self.q_atom if graded_var else self.formula)
+        node = self._nested(self.q_atom if graded_var else self.formula)
         self.memo[key] = (node, self.peak - self.depth)
         self.peak = max(outer_peak, self.peak)
         return node
@@ -576,18 +556,20 @@ class _Parser:
     def formula(self) -> OuterFormula:
         left = self.term()
         tok = self._peek()
-        if tok.kind in ("/\\", "\\/", "=>"):
-            self._advance()
-            right = self.term()
-            try:
-                if tok.kind == "/\\":
-                    return OAnd(left, right)
-                if tok.kind == "\\/":
-                    return OOr(left, right)
-                return outer_implies(left, right)
-            except ValueError as exc:
-                raise ParseError(str(exc), tok.pos) from None
-        return left
+        node = _FORMULA_OPS.get(tok.kind)
+        if node is None:
+            return left
+        self._advance()
+        right = self.term()
+        try:
+            return node(left, right)
+        except ValueError as exc:  # mixed atom kinds
+            raise ParseError(str(exc), tok.pos) from None
+
+
+# Exact token kind -> the node of a binary operator, one table per level.
+_BASIC_OPS = {"&": And, "|": Or, "*": Strong}
+_FORMULA_OPS = {"/\\": OAnd, "\\/": OOr, "=>": outer_implies}
 
 
 def parse_basic(text: str) -> BasicExpr:

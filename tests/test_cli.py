@@ -258,6 +258,18 @@ class TestEntailCommand:
         assert code == 2
         assert "syntax error" in err
 
+    def test_grid_over_budget_names_base_and_exponent(self, capsys, tmp_path):
+        # 9**5001 grid points: a number too long for Python's int-to-text limit
+        path = tmp_path / "chain.lgi"
+        path.write_text("".join(f"v{i} ->[1] v{i + 1}\n" for i in range(5000)),
+                        encoding="utf-8")
+        code, out, err = run(
+            capsys, "entail", "--theory", str(path),
+            "--formula", "v0 ->[1] v5000", "--grid-denominator", "8",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: grid of 9**5001 evaluations exceeds the budget of 1000000\n"
+
 
 def _valid_at_depth(shape: str, depth: int) -> str:
     """A formula true under every evaluation, nested exactly ``depth`` deep."""

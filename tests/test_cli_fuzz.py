@@ -161,7 +161,7 @@ def _entail(rng, tmp_path):
         ("score_n2", ("top ->[1/4] delta", "phi1, phi2 ->[1] delta")),
         ("weaken_chain", ("p, q ->[1/2] r", "p ->[1] r", "(r, 1) \\/ !(p, 1)")),
     ))
-    theory = write(tmp_path, "theory.lgi", maybe(rng, (FIXTURES / f"{name}.lgi").read_text()))
+    theory = write(tmp_path, "theory.lgi", maybe(rng, (FIXTURES / f"{name}.lgi").read_text(encoding="utf-8")))
     formula = maybe(rng, rng.choice(goals))
     roll = rng.random()
     grid = small_int(rng) if roll < 0.2 else mutate(rng, "3") if roll < 0.3 else rng.choice("1234")
@@ -171,8 +171,8 @@ def _entail(rng, tmp_path):
 
 def _check_proof(rng, tmp_path):
     name = rng.choice(("score_n2", "weaken_chain"))
-    theory_text = (FIXTURES / f"{name}.lgi").read_text()
-    proof_text = (FIXTURES / f"{name}.proof.jsonl").read_text()
+    theory_text = (FIXTURES / f"{name}.lgi").read_text(encoding="utf-8")
+    proof_text = (FIXTURES / f"{name}.proof.jsonl").read_text(encoding="utf-8")
     roll = rng.random()
     if roll < 0.2:
         theory_text = mutate(rng, theory_text)

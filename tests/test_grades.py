@@ -40,6 +40,16 @@ class TestAsGrade:
         with pytest.raises(TypeError):
             as_grade(0.5)
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_rejects_bools(self, value):
+        # a bool is an int to Fraction, but no degree: world() refuses it too
+        with pytest.raises(TypeError, match="not bool"):
+            as_grade(value)
+
+    def test_constructors_refuse_a_bool_degree(self):
+        with pytest.raises(TypeError, match="not bool"):
+            GradedVariable("x", True)
+
     @pytest.mark.parametrize("text", ["1/0", "0/0"])
     def test_rejects_zero_denominator(self, text):
         with pytest.raises(ValueError, match="zero denominator"):

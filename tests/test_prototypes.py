@@ -389,6 +389,13 @@ class TestRegions:
         with pytest.raises(ResourceLimitError):
             satisfied_on_grid(ev, qv("x0", F(0)), 6, max_points=1000)
 
+    def test_grid_budget_message_names_base_and_exponent(self):
+        # 9**5000 has more digits than Python turns into text by default
+        ev = QEvaluation(tuple(f"x{i}" for i in range(5000)), {})
+        with pytest.raises(ResourceLimitError) as refused:
+            satisfied_on_grid(ev, qv("x0", F(0)), 8)
+        assert str(refused.value) == "grid of 9**5000 worlds exceeds the budget of 5000000"
+
 
 class TestCanonicalEvaluation:
     def test_disorder_degree_is_the_mean(self):

@@ -267,6 +267,13 @@ class TestCountermodelSearch:
         with pytest.raises(ResourceLimitError):
             find_countermodel((), goal, 10, max_points=1000)
 
+    def test_budget_message_names_base_and_exponent(self):
+        # 9**5001 has more digits than Python turns into text by default
+        theory = tuple(Atom(gi(Var(f"v{i}"), Var(f"v{i + 1}"), 1)) for i in range(5000))
+        with pytest.raises(ResourceLimitError) as refused:
+            find_countermodel(theory, theory[0], 8, max_points=1000)
+        assert str(refused.value) == "grid of 9**5001 evaluations exceeds the budget of 1000"
+
     def test_respects_session_tnorm(self):
         # (p * p) ->[1] bot: under product semantics v=1/2 gives 1/4 > 0, a
         # countermodel grade gap that Lukasiewicz does not notice at 1/2.

@@ -387,6 +387,9 @@ class TestNestingLimit:
         with pytest.raises(ParseError) as exc:
             parse_formula(_nested(shape, MAX_NESTING + 1))
         assert f"nesting deeper than {MAX_NESTING} levels" in str(exc.value)
+        # the offset of the token that opens the level past the limit
+        offsets = {"neg": 200, "basic_parens": 1000, "not": 200, "formula_parens": 2800}
+        assert exc.value.position == offsets[shape]
 
     @pytest.mark.parametrize("text", [
         "~" * 5000 + "p",
