@@ -63,6 +63,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from dataclasses import MISSING, dataclass, fields
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Optional, Sequence, Union
 
 from .errors import ResourceLimitError
@@ -181,6 +182,14 @@ def _single(g: Optional[GradedImplication]) -> Optional[_Unit]:
     if g is not None and len(g.antecedents) == 1:
         return _Unit(g.antecedents[0], g.consequent, g.grade)
     return None
+
+
+def _shown(value) -> str:
+    """``repr(value)``, or the bit length of an int too long to print in decimal."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<int of {value.bit_length()} bits>"
 
 
 def _in_range(index, n: int) -> bool:
@@ -366,7 +375,7 @@ def match_schema(f: OuterFormula, schema: str,
                  kind: TNormKind = TNormKind.LUKASIEWICZ) -> Optional[str]:
     """``schema`` when ``f`` instantiates that one named schema, else None."""
     if schema not in _SCHEMAS:
-        raise ValueError(f"unknown axiom schema {schema!r}")
+        raise ValueError(f"unknown axiom schema {_shown(schema)}")
     return schema if _apply(schema, _views(f), TNormKind(kind)) else None
 
 
@@ -469,7 +478,7 @@ def check_proof(
         just = line.just
         if isinstance(just, Hyp):
             if not _in_range(just.index, len(theory)):
-                return Verdict(False, i, f"hypothesis index {just.index} out of range")
+                return Verdict(False, i, f"hypothesis index {_shown(just.index)} out of range")
             if theory[just.index] != line.formula:
                 return Verdict(
                     False, i,
@@ -478,7 +487,7 @@ def check_proof(
         elif isinstance(just, AxiomInst):
             if just.schema is not None:
                 if just.schema not in _SCHEMAS:
-                    return Verdict(False, i, f"unknown axiom schema {just.schema!r}")
+                    return Verdict(False, i, f"unknown axiom schema {_shown(just.schema)}")
                 if match_schema(line.formula, just.schema, kind) is None:
                     return Verdict(
                         False, i, f"not an instance of schema {just.schema}"
@@ -531,12 +540,12 @@ class ProofBuilder:
     def formula(self, index: int) -> OuterFormula:
         """The formula of line ``index``; ValueError for a bad index."""
         if not _in_range(index, len(self.lines)):
-            raise ValueError(f"no proof line {index!r}")
+            raise ValueError(f"no proof line {_shown(index)}")
         return self.lines[index].formula
 
     def hyp(self, index: int) -> int:
         if not _in_range(index, len(self.theory)):
-            raise ValueError(f"hypothesis index {index} out of range")
+            raise ValueError(f"hypothesis index {_shown(index)} out of range")
         return self._append(self.theory[index], Hyp(index))
 
     def axiom(self, formula: OuterFormula) -> int:
@@ -724,19 +733,22 @@ _JUST_KINDS = {Hyp: "hyp", AxiomInst: "axiom", Taut: "taut", MP: "mp"}
 _JUST_CLASSES = {kind: cls for cls, kind in _JUST_KINDS.items()}
 
 
-def _just_to_dict(just: Justification) -> dict:
-    """The script form of ``just``; an undeclared schema is left out."""
-    kind = _JUST_KINDS.get(type(just))
-    if kind is None:
-        raise TypeError(f"unknown justification class {type(just).__name__}")
-    args = {name: value for name, value in vars(just).items() if value is not None}
-    return {"kind": kind, "args": args}
+def _json_value(value) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True)`` writes it."""
+    return (repr(value) if type(value) is int else _json_string(value) if type(value) is str
+            else json.dumps(value, sort_keys=True))
 
 
 def proof_to_json_lines(proof: Proof) -> str:
-    """One JSON object per proof line; 0-based indices throughout."""
-    lines = (json.dumps({"formula": render(line.formula), "just": _just_to_dict(line.just)},
-                        sort_keys=True) for line in proof.lines)
+    """One JSON object per proof line, as ``json.dumps(obj, sort_keys=True)`` writes it."""
+    lines = []
+    for line in proof.lines:
+        formula, kind = _json_string(render(line.formula)), _JUST_KINDS.get(type(line.just))
+        if kind is None:
+            raise TypeError(f"unknown justification class {type(line.just).__name__}")
+        args = ", ".join([f'"{name}": {_json_value(value)}'
+                          for name, value in sorted(vars(line.just).items()) if value is not None])
+        lines.append(f'{{"formula": {formula}, "just": {{"args": {{{args}}}, "kind": "{kind}"}}}}')
     return "\n".join(lines) + "\n"
 
 

@@ -186,7 +186,7 @@ def test_syntax_nodes_have_no_instance_dict():
 
 
 # ``wc -l src/gradedlogic/*.py``; it grows only for a feature that needs it.
-SOURCE_LINE_BUDGET = 2_884
+SOURCE_LINE_BUDGET = 2_896
 
 
 def test_source_line_budget():

@@ -582,6 +582,16 @@ class TestCheckProof:
             assert verdict == Verdict(False, len(lines) - 1,
                                       "modus ponens references a later or missing line")
 
+    def test_index_past_the_digit_limit_is_a_verdict(self):
+        # Python refuses to print an int of more than 4,300 digits; the
+        # verdict names it by its bit length instead of raising
+        lines = (ProofLine(self.THEORY[0], Hyp(10**5000)),)
+        verdict = check_proof(self.THEORY, Proof(self.THEORY, lines))
+        assert verdict == Verdict(False, 0, "hypothesis index <int of 16610 bits> out of range")
+        lines = (ProofLine(self.THEORY[0], AxiomInst(-10**5000)),)
+        verdict = check_proof(self.THEORY, Proof(self.THEORY, lines))
+        assert verdict == Verdict(False, 0, "unknown axiom schema <int of 16610 bits>")
+
     def test_rejects_hypothesis_mismatch(self):
         proof = Proof(self.THEORY, (ProofLine(self.THEORY[0], Hyp(1)),))
         verdict = check_proof(self.THEORY, proof)
@@ -701,6 +711,14 @@ class TestProofBuilder:
         b = ProofBuilder((Atom(gi(P, Q, 1)),))
         with pytest.raises(ValueError, match=f"hypothesis index {index} out of range"):
             b.hyp(index)
+        assert b.lines == []
+
+    def test_index_past_the_digit_limit_is_named_by_bit_length(self):
+        b = ProofBuilder((Atom(gi(P, Q, 1)),))
+        with pytest.raises(ValueError, match="^hypothesis index <int of 16610 bits> out of range$"):
+            b.hyp(10**5000)
+        with pytest.raises(ValueError, match="^no proof line <int of 16610 bits>$"):
+            b.formula(10**5000)
         assert b.lines == []
 
     @pytest.mark.parametrize("call", [
@@ -1093,6 +1111,88 @@ class TestProofSerialisation:
         proof = parse_proof_script(script, ())
         verdict = check_proof((), proof)
         assert not verdict.accepted and verdict.line == 0
+
+    def test_writer_edge_bytes(self):
+        assert proof_to_json_lines(Proof((), ())) == "\n"
+        refl = Atom(gi(P, P, 1))
+        both = OOr(OAnd(Atom(gi(P, Q, Fraction(1, 2))), refl), Atom(gi(Q, P, 0)))
+        lines = [
+            (Atom(gi(Top(), P, 1)), Hyp(True)),
+            (refl, AxiomInst(None)),
+            (refl, AxiomInst("mean_trans1")),
+            (refl, Taut()),
+            (both, MP(3, 5)),
+        ]
+        text = proof_to_json_lines(Proof((), tuple(ProofLine(f, j) for f, j in lines)))
+        assert text == (
+            '{"formula": "top ->[1] p", "just": {"args": {"index": true}, "kind": "hyp"}}\n'
+            '{"formula": "p ->[1] p", "just": {"args": {}, "kind": "axiom"}}\n'
+            '{"formula": "p ->[1] p", "just": {"args": {"schema": "mean_trans1"}, '
+            '"kind": "axiom"}}\n'
+            '{"formula": "p ->[1] p", "just": {"args": {}, "kind": "taut"}}\n'
+            '{"formula": "((p ->[1/2] q /\\\\ p ->[1] p) \\\\/ q ->[0] p)", '
+            '"just": {"args": {"major": 5, "minor": 3}, "kind": "mp"}}\n'
+        )
+
+
+def _oracle_lines(proof: Proof) -> str:
+    """The proof script as one ``json.dumps`` of each line's object writes it."""
+    kinds = {Hyp: "hyp", AxiomInst: "axiom", Taut: "taut", MP: "mp"}
+    return "\n".join(json.dumps({
+        "formula": render(line.formula),
+        "just": {"kind": kinds[type(line.just)],
+                 "args": {k: v for k, v in vars(line.just).items() if v is not None}},
+    }, sort_keys=True) for line in proof.lines) + "\n"
+
+
+def _rand_value(rng: random.Random):
+    """An int, bool or other JSON value for a justification field, as a
+    hand-built proof may hold."""
+    return rng.choice([
+        rng.randint(-3, 40), rng.randint(2**64, 2**80), -(2**70), True, False, None,
+        1.5, "sé \"\\", [1, "a", None], {"b": [2], "a": 1},
+    ])
+
+
+def _rand_just(rng: random.Random):
+    roll = rng.randrange(5)
+    if roll == 0:
+        return Hyp(_rand_value(rng))
+    if roll == 1:
+        return AxiomInst(rng.choice(SCHEMA_NAMES + (None, "bogus", "über")))
+    if roll == 2:
+        return Taut()
+    return MP(_rand_value(rng), _rand_value(rng))
+
+
+class TestWriterDifferential:
+    """``proof_to_json_lines`` writes exactly the oracle's bytes."""
+
+    def test_score_derivations(self):
+        rng = random.Random(2020)
+        count = 0
+        for n in range(1, 13):
+            for _ in range(4):
+                grades = [rand_grade(rng) for _ in range(n)]
+                proof = build_score_derivation(n, grades)
+                assert proof_to_json_lines(proof) == _oracle_lines(proof)
+                count += 1
+        assert count == 48
+
+    def test_hand_built_proofs(self):
+        rng = random.Random(2021)
+        seen = set()
+        for trial in range(2000):
+            mode = "gi" if trial % 3 else "q"
+            lines = tuple(
+                ProofLine(rand_formula(rng, depth=rng.randint(0, 3), mode=mode),
+                          _rand_just(rng))
+                for _ in range(rng.randint(0, 6))
+            )
+            proof = Proof((), lines)
+            assert proof_to_json_lines(proof) == _oracle_lines(proof)
+            seen |= {line.just.schema for line in lines if isinstance(line.just, AxiomInst)}
+        assert seen >= set(SCHEMA_NAMES) | {None}
 
 
 def _chain_proof(rng: random.Random, length: int) -> Proof:
