@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Union
 
 Grade = Fraction
@@ -33,6 +34,16 @@ class TNormKind(Enum):
     LUKASIEWICZ = "lukasiewicz"
     PRODUCT = "product"
     MINIMUM = "min"
+
+
+def _shown(value, show=repr) -> str:
+    """``show(value)``; when that fails (an int past the digit limit, a container
+    of one, or one nested too deep), the int's bit length or the type's name."""
+    try:
+        return show(value)
+    except (ValueError, RecursionError):
+        return (f"<int of {value.bit_length()} bits>" if isinstance(value, int)
+                else f"<{type(value).__name__}>")
 
 
 def as_grade(value: GradeLike) -> Grade:
@@ -61,7 +72,7 @@ def as_grade(value: GradeLike) -> Grade:
                             f" not {type(value).__name__}")
         grade = Fraction(value)
     if not 0 <= grade.numerator <= grade.denominator:
-        raise ValueError(f"degree {value} outside [0, 1]")
+        raise ValueError(f"degree {_shown(value, str)} outside [0, 1]")
     return grade
 
 
@@ -91,8 +102,11 @@ def luk_tconorm(c: Grade, d: Grade) -> Grade:
 
 
 def mean(values: Iterable[Grade]) -> Grade:
-    """Arithmetic mean of one or more degrees, exact."""
+    """Arithmetic mean of one or more degrees, exact: the numerators over one
+    common denominator are summed as ints, and one Fraction is built."""
     collected = list(values)
     if not collected:
         raise ValueError("mean of an empty collection of degrees")
-    return sum(collected, ZERO) / len(collected)
+    den = lcm(*(c.denominator for c in collected))
+    return Fraction(sum(c.numerator * (den // c.denominator) for c in collected),
+                    den * len(collected))

@@ -71,6 +71,7 @@ from .grades import (
     ONE,
     ZERO,
     TNormKind,
+    _shown,
     as_grade,
     luk_tconorm,
     luk_tnorm,
@@ -182,14 +183,6 @@ def _single(g: Optional[GradedImplication]) -> Optional[_Unit]:
     if g is not None and len(g.antecedents) == 1:
         return _Unit(g.antecedents[0], g.consequent, g.grade)
     return None
-
-
-def _shown(value) -> str:
-    """``repr(value)``, or the bit length of an int too long to print in decimal."""
-    try:
-        return repr(value)
-    except ValueError:
-        return f"<int of {value.bit_length()} bits>"
 
 
 def _in_range(index, n: int) -> bool:

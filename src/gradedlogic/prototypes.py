@@ -39,7 +39,7 @@ from operator import sub
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import AtomKindError, ResourceLimitError, UnboundVariableError
-from .grades import ONE, ZERO, Grade, as_grade
+from .grades import ONE, ZERO, Grade, _shown, as_grade
 from .syntax import (
     GradedVariable,
     OAnd,
@@ -73,9 +73,9 @@ def _lattice(w, n: int, denominator: int) -> tuple:
     dens = []
     for c in w:
         if type(c) not in _EXACT:
-            raise TypeError(f"world coordinate {c!r} is not an int or a Fraction")
+            raise TypeError(f"world coordinate {_shown(c)} is not an int or a Fraction")
         if not 0 <= c.numerator <= (v := c.denominator):
-            raise ValueError(f"world coordinate {c} outside [0, 1]")
+            raise ValueError(f"world coordinate {_shown(c, str)} outside [0, 1]")
         dens.append(v)
     scale = lcm(denominator, *dens)
     return scale, tuple(c.numerator * (scale // v) for c, v in zip(w, dens))
@@ -114,12 +114,15 @@ class Face:
 
     def __post_init__(self):
         if not isinstance(self.index, int) or isinstance(self.index, bool):
-            raise TypeError(f"face index must be an integer, got {self.index!r}")
+            raise TypeError(f"face index must be an integer, got {_shown(self.index)}")
         object.__setattr__(self, "value", as_grade(self.value))
         if self.value not in (ZERO, ONE):
             raise ValueError("faces sit at coordinate 0 or 1")
         if self.index < 0:
             raise ValueError("face index must be nonnegative")
+
+    def __repr__(self):
+        return f"Face(index={_shown(self.index)}, value={self.value!r})"
 
 
 PointSet = Union[FiniteSet, Face]
@@ -137,7 +140,7 @@ def _fit(s: PointSet, n: int, owner: str = "point set") -> None:
     TypeError when ``s`` is not a point set."""
     if isinstance(s, Face):
         if s.index >= n:
-            raise ValueError(f"{owner}: face index {s.index} outside dimension {n}")
+            raise ValueError(f"{owner}: face index {_shown(s.index)} outside dimension {n}")
     elif len(_finite(s).points[0]) != n:
         raise ValueError(f"{owner}: points of dimension {len(s.points[0])}, not {n}")
 

@@ -26,13 +26,15 @@ path (the ``eval`` command) and the oracle the search is tested against.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import AtomKindError, ResourceLimitError, UnboundVariableError
-from .grades import Grade, TNormKind, as_grade, luk_tnorm, mean, negate, tnorm
+from .grades import Grade, TNormKind, _shown, as_grade, luk_tnorm, mean, negate, tnorm
 from .syntax import (
     And,
     Atom,
@@ -49,6 +51,7 @@ from .syntax import (
     Top,
     Var,
     compile_outer,
+    conjuncts,
     vars_of_formula,
 )
 
@@ -147,8 +150,7 @@ def _grid_compiler(names: Sequence[str], m: int, kind: TNormKind):
     def basic(e: BasicExpr):
         """``(fn, scale)``: the degree of ``e`` at ``p`` is ``fn(p) / scale``."""
         if isinstance(e, Var):
-            i = index[e.name]
-            return (lambda p: p[i]), m
+            return itemgetter(index[e.name]), m
         if isinstance(e, Top):
             return (lambda p: 1), 1
         if isinstance(e, Bottom):
@@ -213,21 +215,40 @@ def find_countermodel(
 
     Variables are enumerated in sorted-name order with ascending degrees, so
     the first (and returned) hit is the lexicographically smallest
-    countermodel.  Raises ResourceLimitError when the grid has more than
-    ``max_points`` evaluations rather than searching a truncated grid, and
-    AtomKindError for a graded-variable atom before any point is visited.
+    countermodel.  Only the box the theory's unit bounds leave is searched:
+    a top-level conjunct ``top ->[c] x`` of a member means x >= c, and
+    ``x ->[c] bot`` means x <= 1 - c, since a unit implication ``a ->[c] b``
+    holds iff deg(a) <= deg(b) + 1 - c under every t-norm.  A skipped point
+    fails a member, so it is no countermodel, and the box keeps the order.
+    Raises ResourceLimitError when the box has more than ``max_points``
+    evaluations rather than searching a truncated grid, and AtomKindError
+    for a graded-variable atom before any point is visited.
     """
     kind = TNormKind(kind)
-    if denominator < 1:
+    m = denominator
+    if m < 1:
         raise ValueError("grid denominator must be at least 1")
     names: set = set(vars_of_formula(formula))
     for t in theory:
         names |= vars_of_formula(t)
     ordered = sorted(names)
-    if (denominator + 1) ** len(ordered) > max_points:
-        raise ResourceLimitError(f"grid of {denominator + 1}**{len(ordered)} evaluations"
-                                 f" exceeds the budget of {max_points}")
-    compile_formula = _grid_compiler(ordered, denominator, kind)
+    lo, hi = dict.fromkeys(ordered, 0), dict.fromkeys(ordered, m)
+    for c in itertools.chain.from_iterable(map(conjuncts, theory)):
+        g = c.content if type(c) is Atom else None
+        if type(g) is GradedImplication and len(g.antecedents) == 1:
+            (a,), b, (u, v) = g.antecedents, g.consequent, g.grade.as_integer_ratio()
+            if type(a) is Top and type(b) is Var:
+                lo[b.name] = max(lo[b.name], -(-u * m // v))
+            elif type(a) is Var and type(b) is Bottom:
+                hi[a.name] = min(hi[a.name], (v - u) * m // v)
+    sizes = [max(hi[name] - lo[name] + 1, 0) for name in ordered]
+    if prod(sizes) > max_points:
+        shown = f"grid of {_shown(m + 1)}**{len(ordered)} evaluations"
+        if any(n <= m for n in sizes):
+            box = " * ".join(f"{_shown(n)}**{k}" for n, k in sorted(Counter(sizes).items()))
+            shown = f"box of {box} in a {shown}"
+        raise ResourceLimitError(f"{shown} exceeds the budget of {max_points}")
+    compile_formula = _grid_compiler(ordered, m, kind)
     members = [compile_formula(t) for t in theory]
     goal = compile_formula(formula)
 
@@ -237,13 +258,11 @@ def find_countermodel(
                 return False
         return not goal(p)
 
-    grid = itertools.product(range(denominator + 1), repeat=len(ordered))
+    grid = itertools.product(*(range(lo[name], hi[name] + 1) for name in ordered))
     point = next(filter(hit, grid), None)
     if point is None:
         return None
-    return Evaluation(
-        {name: Fraction(i, denominator) for name, i in zip(ordered, point)}, kind
-    )
+    return Evaluation({name: Fraction(i, m) for name, i in zip(ordered, point)}, kind)
 
 
 def entails_on_grid(

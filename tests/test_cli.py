@@ -270,6 +270,23 @@ class TestEntailCommand:
         assert (code, out) == (2, "")
         assert err == "error: grid of 9**5001 evaluations exceeds the budget of 1000000\n"
 
+    def test_score_theory_of_21_items_is_decided(self, capsys, tmp_path):
+        # 5**22 grid points, but the floors and ceilings pin every item
+        answers = [Fraction(i % 5, 4) for i in range(20)] + [Fraction(1, 2)]
+        theory = score_theory(answers, items=[f"item{i}" for i in range(21)], disorder="dep")
+        path = tmp_path / "score.lgi"
+        path.write_text("".join(f"{render(f)}\n" for f in theory), encoding="utf-8")
+        code, out, err = run(
+            capsys, "entail", "--theory", str(path),
+            "--formula", "top ->[1/2] dep", "--grid-denominator", "4",
+        )
+        assert (code, out, err) == (0, "no countermodel with denominator 4\n", "")
+        code, out, _ = run(
+            capsys, "entail", "--theory", str(path),
+            "--formula", "top ->[3/4] dep", "--grid-denominator", "4",
+        )
+        assert code == 1 and out.startswith("countermodel: dep=1/2, item0=0, item1=1/4, ")
+
 
 def _valid_at_depth(shape: str, depth: int) -> str:
     """A formula true under every evaluation, nested exactly ``depth`` deep."""

@@ -71,6 +71,15 @@ class TestAsGrade:
         with pytest.raises(ValueError):
             as_grade(Fraction(-1, 10))
 
+    def test_out_of_range_past_the_digit_limit_gets_its_own_message(self):
+        # Python refuses to print an int of more than 4,300 digits
+        with pytest.raises(ValueError, match=r"^degree <int of 16610 bits> outside \[0, 1\]$"):
+            as_grade(10**5000)
+        with pytest.raises(ValueError, match=r"^degree <Fraction> outside \[0, 1\]$"):
+            as_grade(Fraction(10**5000 + 1, 10**5000))
+        with pytest.raises(ValueError, match=r"^degree 11/10 outside \[0, 1\]$"):
+            as_grade(Fraction(11, 10))
+
 
 def _grade_string(rng: random.Random) -> str:
     """A string that is, or nearly is, a grade literal."""
@@ -142,6 +151,14 @@ class TestWorkedValues:
     def test_mean_rejects_empty(self):
         with pytest.raises(ValueError):
             mean([])
+
+    def test_mean_equals_sum_over_count(self):
+        rng = random.Random(2101)
+        for _ in range(2000):
+            vals = [rand_grade(rng, rng.choice((4, 12, 97))) for _ in range(rng.randint(1, 21))]
+            vals += [rng.randint(0, 1) for _ in range(rng.randint(0, 2))]
+            got = mean(iter(vals))
+            assert got == sum(vals, Fraction(0)) / len(vals) and type(got) is Fraction
 
 
 class TestAlgebraicLaws:

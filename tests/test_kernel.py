@@ -592,6 +592,17 @@ class TestCheckProof:
         verdict = check_proof(self.THEORY, Proof(self.THEORY, lines))
         assert verdict == Verdict(False, 0, "unknown axiom schema <int of 16610 bits>")
 
+    def test_unprintable_hypothesis_index_is_a_verdict(self):
+        # Hand-built lines whose index is a tuple no repr can print: the
+        # verdict names its type instead of raising
+        deep = ()
+        for _ in range(100_000):
+            deep = (deep,)
+        for index in ((10**5000,), deep):
+            lines = (ProofLine(self.THEORY[0], Hyp(index)),)
+            verdict = check_proof(self.THEORY, Proof(self.THEORY, lines))
+            assert verdict == Verdict(False, 0, "hypothesis index <tuple> out of range")
+
     def test_rejects_hypothesis_mismatch(self):
         proof = Proof(self.THEORY, (ProofLine(self.THEORY[0], Hyp(1)),))
         verdict = check_proof(self.THEORY, proof)

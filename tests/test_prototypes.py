@@ -110,6 +110,15 @@ class TestPointSets:
         with pytest.raises(TypeError, match=f"face index must be an integer, got {index!r}"):
             Face(index, F(1))
 
+    def test_face_past_the_digit_limit_is_shown_by_bit_length(self):
+        # Python refuses to print an int of more than 4,300 digits
+        assert repr(Face(10**5000, 1)) == "Face(index=<int of 16610 bits>, value=Fraction(1, 1))"
+        assert repr(Face(2, 0)) == "Face(index=2, value=Fraction(0, 1))"
+
+    def test_world_past_the_digit_limit_gets_its_own_message(self):
+        with pytest.raises(ValueError, match=r"^world coordinate <int of 16610 bits> outside \[0, 1\]$"):
+            world([10**5000])
+
     def test_finite_set_distance_is_min_over_points(self):
         s = FiniteSet((world([0, 0]), world([1, F(1, 2)])))
         w = world([F(3, 4), F(1, 2)])
@@ -231,6 +240,11 @@ class TestQEvaluation:
                 ("x",), {"d": PCPair(FiniteSet((world([1, 1]),)),
                                      FiniteSet((world([0, 0]),)))}
             )
+
+    def test_face_past_the_digit_limit_gets_its_own_message(self):
+        pair = PCPair(Face(10**5000, F(1)), Face(10**5000, F(0)))
+        with pytest.raises(ValueError, match="^d: face index <int of 16610 bits> outside dimension 1$"):
+            QEvaluation(("x",), {"d": pair})
 
     def test_binding_must_be_a_pair(self):
         with pytest.raises(TypeError, match="d: not a prototype/counterexample pair: 'nope'"):

@@ -12,6 +12,7 @@ import pytest
 from gradedlogic import (
     And,
     Atom,
+    AtomKindError,
     Bottom,
     Evaluation,
     GradedImplication,
@@ -34,10 +35,12 @@ from gradedlogic import (
     luk_tnorm,
     mean,
     negate,
+    parse_formula,
     satisfies_formula,
     satisfies_gi,
     satisfies_gi_luk_form,
     satisfies_theory,
+    score_theory,
     vars_of_formula,
 )
 
@@ -336,6 +339,29 @@ def _product_chain(rng, names, factors):
     return Neg(node) if rng.random() < 0.2 else node
 
 
+def _with_bounds(rng, theory, names, m, atom):
+    """``theory`` with unit floors ``top ->[c] x`` and ceilings ``x ->[c] bot``
+    added as members or as conjuncts of its last member.  A floor and a
+    ceiling on one variable may contradict each other.  Some bounds sit
+    under a disjunction, and some have a second antecedent: these bound
+    nothing."""
+    def bound():
+        x = Var(rng.choice(names))
+        c = Fraction(rng.randint(0, m), m) if rng.random() < 0.5 else rand_grade(rng, 8)
+        extra = (Var(rng.choice(names)),) if rng.random() < 0.3 else ()
+        unit = Atom(GradedImplication((Top(),) + extra, x, c) if rng.random() < 0.5
+                    else GradedImplication((x,) + extra, Bottom(), c))
+        return OOr(unit, atom()) if rng.random() < 0.15 else unit
+
+    bounds = [bound() for _ in range(rng.randint(1, 4))]
+    if theory and rng.random() < 0.5:
+        last = theory[-1]
+        for b in bounds:
+            last = OAnd(last, b) if rng.random() < 0.5 else OAnd(b, last)
+        return theory[:-1] + (last,)
+    return theory + tuple(bounds)
+
+
 def _search_case(rng):
     names = ("p", "q", "r")[: rng.randint(1, 3)]
     m = rng.randint(1, 5)
@@ -362,6 +388,8 @@ def _search_case(rng):
         return cls(formula(depth - 1), formula(depth - 1))
 
     theory = tuple(formula(1) for _ in range(rng.randint(0, 2)))
+    if rng.random() < 0.5:
+        theory = _with_bounds(rng, theory, names, m, atom)
     roll = rng.random()
     if theory and roll < 0.3:
         # A theory member or a disjunction with one: no countermodel.
@@ -394,6 +422,120 @@ class TestCompiledSearchDifferential:
                 assert got.values == expected, (theory, goal, m)
                 assert all(type(v) is Fraction for v in got.values.values())
         assert found >= 30 and clean >= 30, (found, clean)
+
+
+    def test_bounded_cases_cut_and_empty_the_box(self):
+        # A zero budget refuses every nonempty box, and names a cut one
+        rng = random.Random("grid-search:box")
+        cut = empty = 0
+        for _ in range(300):
+            theory, goal, m = _search_case(rng)
+            try:
+                assert find_countermodel(theory, goal, m, max_points=0) is None
+                empty += 1
+            except ResourceLimitError as refused:
+                cut += str(refused).startswith("box of ")
+        assert cut >= 60 and empty >= 15, (cut, empty)
+
+
+def _score_case(answers, goal):
+    """The score theory of a sheet answered on a 0..4 scale, and a goal."""
+    items = [f"item{i:02d}" for i in range(len(answers))]
+    theory = tuple(score_theory([Fraction(a, 4) for a in answers], items=items,
+                                disorder="dep"))
+    return theory, parse_formula(goal)
+
+
+class TestBoundedSearch:
+    """The search visits only the box the theory's unit bounds leave."""
+
+    EIGHT = (1, 2, 3, 0, 4, 2, 2, 2)  # mean 1/2
+    TWENTY_ONE = tuple(i % 5 for i in range(20)) + (2,)  # mean 1/2
+
+    @pytest.mark.parametrize("m", [4, 8])
+    def test_eight_item_score_theory_entails_its_floor(self, m):
+        # The full grid has 5**9 points at m = 4, over the budget
+        theory, goal = _score_case(self.EIGHT, "top ->[1/2] dep")
+        assert find_countermodel(theory, goal, m) is None
+
+    def test_eight_item_score_theory_refutes_a_higher_floor(self):
+        theory, goal = _score_case(self.EIGHT, "top ->[3/4] dep")
+        counter = find_countermodel(theory, goal, 8)
+        assert counter is not None and counter["dep"] == Fraction(1, 2)
+        assert [counter[f"item{i:02d}"] for i in range(8)] == [Fraction(a, 4) for a in self.EIGHT]
+
+    @pytest.mark.parametrize("kind", [LUK, PROD, MIN])
+    def test_twenty_one_item_score_theory_is_decided(self, kind):
+        theory, goal = _score_case(self.TWENTY_ONE, "top ->[1/2] dep")
+        assert find_countermodel(theory, goal, 4, kind) is None
+        theory, goal = _score_case(self.TWENTY_ONE, "top ->[3/4] dep")
+        counter = find_countermodel(theory, goal, 4, kind)
+        assert counter is not None and counter["dep"] == Fraction(1, 2)
+
+    def test_contradictory_bounds_leave_no_countermodel(self):
+        theory = (OAnd(Atom(gi(Top(), Var("p"), Fraction(2, 3))),
+                       Atom(gi(Var("p"), Bottom(), Fraction(1, 2)))),)
+        assert find_countermodel(theory, Atom(gi(Top(), Bottom(), 1)), 30) is None
+        # p >= 2/3 and p <= 2/3 leave one point on a grid of thirds, none on halves
+        theory = (Atom(gi(Top(), Var("p"), Fraction(2, 3))),
+                  Atom(gi(Var("p"), Bottom(), Fraction(1, 3))))
+        assert find_countermodel(theory, Atom(gi(Top(), Bottom(), 1)), 3).values == {
+            "p": Fraction(2, 3)}
+        assert find_countermodel(theory, Atom(gi(Top(), Bottom(), 1)), 2) is None
+
+    def test_empty_box_still_refuses_a_graded_variable_atom(self):
+        theory = (Atom(gi(Top(), Var("p"), 1)), Atom(gi(Var("p"), Bottom(), 1)),
+                  Atom(GradedVariable("x", Fraction(1, 2))))
+        with pytest.raises(AtomKindError):
+            find_countermodel(theory, Atom(gi(Var("p"), Var("p"), 1)), 2)
+        with pytest.raises(AtomKindError):
+            find_countermodel(theory[:2], Atom(GradedVariable("x", 1)), 2)
+
+    def test_bounds_under_a_negation_or_a_disjunction_are_not_read(self):
+        floor = Atom(gi(Top(), Var("p"), 1))
+        for theory in ((ONot(ONot(floor)),), (OOr(floor, floor),)):
+            counter = find_countermodel(theory, floor, 2, max_points=3)
+            assert counter is None
+        with pytest.raises(ResourceLimitError, match="^grid of 3\\*\\*1 evaluations exceeds"):
+            find_countermodel((ONot(ONot(floor)),), floor, 2, max_points=2)
+
+    def test_denominator_past_a_machine_word(self):
+        m = 10**20
+        with pytest.raises(ResourceLimitError, match=f"^grid of {m + 1}\\*\\*1 evaluations"):
+            find_countermodel((), Atom(gi(Top(), Var("x"), 1)), m)
+        theory = (Atom(gi(Top(), Var("x"), Fraction(1, 2))),
+                  Atom(gi(Var("x"), Bottom(), Fraction(1, 2))))
+        counter = find_countermodel(theory, Atom(gi(Top(), Var("x"), Fraction(3, 4))), m)
+        assert counter is not None and counter.values == {"x": Fraction(1, 2)}
+        # m + 1 has more digits than Python turns into text by default
+        m = 10**5000
+        with pytest.raises(ResourceLimitError, match="^grid of <int of 16610 bits>\\*\\*1 "):
+            find_countermodel((), Atom(gi(Top(), Var("x"), 1)), m)
+        with pytest.raises(ResourceLimitError, match="^box of <int of 16610 bits>\\*\\*1"
+                           " in a grid of <int of 16611 bits>\\*\\*1 "):
+            find_countermodel(theory[:1], Atom(gi(Top(), Var("x"), 1)), 2 * m)
+
+    def test_budget_counts_the_box_and_the_message_names_it(self):
+        # 20 items pinned to one value each, dep pinned to 1/4..3/4 by the
+        # floor and ceiling below, and q free: 3 * 5 points
+        theory = tuple(Atom(gi(Top(), Var(f"v{i:02d}"), Fraction(1, 2))) for i in range(20))
+        theory += tuple(Atom(gi(Var(f"v{i:02d}"), Bottom(), Fraction(1, 2))) for i in range(20))
+        theory += (Atom(gi(Top(), Var("dep"), Fraction(1, 4))),
+                   Atom(gi(Var("dep"), Bottom(), Fraction(1, 4))))
+        goal = Atom(gi(Var("dep"), Var("q"), 1))
+        counter = find_countermodel(theory, goal, 4, max_points=15)
+        assert counter is not None and (counter["dep"], counter["q"]) == (Fraction(1, 4), 0)
+        with pytest.raises(ResourceLimitError) as refused:
+            find_countermodel(theory, goal, 4, max_points=14)
+        assert str(refused.value) == ("box of 1**20 * 3**1 * 5**1 in a grid of 5**22"
+                                      " evaluations exceeds the budget of 14")
+        # 9**5000 has more digits than Python turns into text by default
+        chain = tuple(Atom(gi(Var(f"v{i}"), Var(f"v{i + 1}"), 1)) for i in range(5000))
+        floor = (Atom(gi(Top(), Var("v0"), Fraction(1, 2))),)
+        with pytest.raises(ResourceLimitError) as refused:
+            find_countermodel(floor + chain, chain[0], 8, max_points=1000)
+        assert str(refused.value) == ("box of 5**1 * 9**5000 in a grid of 9**5001"
+                                      " evaluations exceeds the budget of 1000")
 
 
 class TestMeanHelper:
