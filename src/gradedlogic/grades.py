@@ -46,6 +46,13 @@ def _shown(value, show=repr) -> str:
                 else f"<{type(value).__name__}>")
 
 
+def _grid_sizes(**sizes) -> None:
+    """Refuse a grid size or budget whose type is not exactly ``int``."""
+    for name, value in sizes.items():
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an int, got {_shown(value)}")
+
+
 def as_grade(value: GradeLike) -> Grade:
     """Coerce ``value`` to an exact degree in [0, 1].
 

@@ -39,7 +39,7 @@ from operator import sub
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import AtomKindError, ResourceLimitError, UnboundVariableError
-from .grades import ONE, ZERO, Grade, _shown, as_grade
+from .grades import ONE, ZERO, Grade, _grid_sizes, _shown, as_grade
 from .syntax import (
     GradedVariable,
     OAnd,
@@ -290,6 +290,7 @@ def _grid_steps(k: int, scale: int) -> range:
 
 def grid_worlds(n: int, k: int) -> Iterable[World]:
     """All worlds of [0,1]^n with coordinates on the k-denominator grid."""
+    _grid_sizes(n=n, k=k)
     steps = [Fraction(i, k) for i in _grid_steps(k, k)]
     return itertools.product(steps, repeat=n)
 
@@ -301,6 +302,7 @@ def satisfied_on_grid(
     max_points: int = DEFAULT_GRID_BUDGET,
 ) -> bool:
     """Does the region of ``f`` cover every grid world?  Grid verdicts only."""
+    _grid_sizes(k=k, max_points=max_points)
     scale = lcm(ev.denominator, k)
     steps = _grid_steps(k, scale)
     if len(steps) ** ev.dimension > max_points:

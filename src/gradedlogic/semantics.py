@@ -10,17 +10,22 @@ finite grid {0, 1/m, ..., 1}: a found countermodel genuinely refutes, while
 "no countermodel with denominator m" is deliberately weaker than full
 entailment and is reported as exactly that.
 
-The grid is searched on integers.  ``find_countermodel`` compiles the
-theory and the formula once into closures over a grid point ``p``, a tuple
-of ints in 0..m.  Every basic node has a static scale ``S`` fixed by its
-syntax (m for a variable, 1 for ``top``/``bot``, the lcm of its children's
-scales for min, max and the Lukasiewicz and min t-norms, their product for
-the product t-norm) and yields an int ``x`` whose degree is ``x / S``.  The
-mean test of each implication is multiplied out to one integer comparison,
-so all three t-norms stay exact on the one path, and an ``Evaluation`` is
-built only for the countermodel returned.  ``Evaluation`` with
-``eval_basic`` and ``satisfies_*`` over ``Fraction`` stays the single-point
-path (the ``eval`` command) and the oracle the search is tested against.
+The grid is searched on integers, by one function generated and compiled
+per query.  It loops over the box the theory's unit bounds leave, one
+``for`` per variable in sorted-name order over ints 0..m (CPython nests at
+most 20 blocks, so the variables past the 17th share the 18th loop through
+``itertools.product``), and leaves a loop early where a member fails or the
+goal holds (see ``find_countermodel``).  Every basic node has a static
+scale ``S`` fixed by its syntax (m for a variable, 1 for ``top``/``bot``,
+the lcm of its children's scales for min, max and the Lukasiewicz and min
+t-norms, their product for the product t-norm) and yields an int ``x``
+whose degree is ``x / S``: each distinct node is one statement in the loop
+of its last variable, and the mean test of each implication is one integer
+comparison, so all three t-norms stay exact on the one path.  The source
+holds only generated names; numbers are passed in as values.
+``Evaluation`` with ``eval_basic`` and ``satisfies_*`` over ``Fraction``
+stays the single-point path (the ``eval`` command) and the oracle the
+search is tested against.
 """
 
 from __future__ import annotations
@@ -30,11 +35,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
-from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import AtomKindError, ResourceLimitError, UnboundVariableError
-from .grades import Grade, TNormKind, _shown, as_grade, luk_tnorm, mean, negate, tnorm
+from .grades import (Grade, TNormKind, _grid_sizes, _shown, as_grade, luk_tnorm, mean,
+                     negate, tnorm)
 from .syntax import (
     And,
     Atom,
@@ -50,7 +55,6 @@ from .syntax import (
     Strong,
     Top,
     Var,
-    compile_outer,
     conjuncts,
     vars_of_formula,
 )
@@ -140,67 +144,103 @@ def satisfies_theory(v: Evaluation, theory: Iterable[OuterFormula]) -> bool:
 # Grid search on integers
 # ---------------------------------------------------------------------------
 
+_LOOPS = 18  # nested loops at most; see the module docstring
 
-def _grid_compiler(names: Sequence[str], m: int, kind: TNormKind):
-    """A function compiling outer formulas over ``names`` to checks on the
-    grid with denominator ``m`` under ``kind``.  A check takes a grid point,
-    one int in 0..m per name, and says whether the formula holds there."""
-    index = {name: i for i, name in enumerate(names)}
 
-    def basic(e: BasicExpr):
-        """``(fn, scale)``: the degree of ``e`` at ``p`` is ``fn(p) / scale``."""
+def _search(theory, formula, ordered: Sequence[str], ranges: Sequence[range],
+            m: int, kind: TNormKind) -> Optional[tuple]:
+    """The first point of the box ``ranges`` (one per name in ``ordered``)
+    where ``theory`` holds and ``formula`` fails, or None, found by one
+    generated function; see ``find_countermodel``."""
+    index = {name: i for i, name in enumerate(ordered)}
+    body = [[] for _ in range(min(len(ordered), _LOOPS) + 1)]  # body[d + 1] runs in loop d
+    consts, memo, fresh = {}, {}, itertools.count()
+
+    def k(value) -> str:
+        return consts.setdefault(value, f"k{len(consts)}")
+
+    def lift(name: str, factor: int) -> str:
+        return name if factor == 1 else f"{k(factor)} * {name}"
+
+    def emit(d: int, text: str, scale=None) -> tuple:
+        name = f"t{next(fresh)}"
+        body[d + 1].append(f"{name} = {text}")
+        return name, scale, d
+
+    def term(e) -> tuple:
+        """``(name, scale, d)``: from loop ``d`` on (-1: before the loops),
+        ``name`` holds a basic ``e``'s degree times ``scale``, or the truth
+        of an atom or formula ``e``."""
+        if e in memo:
+            return memo[e]
         if isinstance(e, Var):
-            return itemgetter(index[e.name]), m
-        if isinstance(e, Top):
-            return (lambda p: 1), 1
-        if isinstance(e, Bottom):
-            return (lambda p: 0), 1
-        if isinstance(e, Neg):
-            f, s = basic(e.expr)
-            return (lambda p: s - f(p)), s
-        if not isinstance(e, (And, Or, Strong)):
-            raise TypeError(f"not a basic expression: {e!r}")
-        fl, sl = basic(e.left)
-        fr, sr = basic(e.right)
-        strong = isinstance(e, Strong)
-        if strong and kind is TNormKind.PRODUCT:
-            return (lambda p: fl(p) * fr(p)), sl * sr
-        s = lcm(sl, sr)
-        a, b = s // sl, s // sr
-        if isinstance(e, Or):
-            def fn(p):
-                x, y = a * fl(p), b * fr(p)
-                return x if x > y else y
-        elif strong and kind is TNormKind.LUKASIEWICZ:
-            def fn(p):
-                x = a * fl(p) + b * fr(p) - s
-                return x if x > 0 else 0
+            got = f"x{index[e.name]}", m, min(index[e.name], _LOOPS - 1)
+        elif isinstance(e, (Top, Bottom)):
+            got = k(int(isinstance(e, Top))), 1, -1
+        elif isinstance(e, Neg):
+            name, s, d = term(e.expr)
+            got = emit(d, f"{k(s)} - {name}", s)
+        elif isinstance(e, (And, Or, Strong)):
+            (l, sl, dl), (r, sr, dr) = term(e.left), term(e.right)
+            d, s, strong = max(dl, dr), lcm(sl, sr), isinstance(e, Strong)
+            if strong and kind is TNormKind.PRODUCT:
+                got = emit(d, f"{l} * {r}", sl * sr)
+            else:
+                a, b = lift(l, s // sl), lift(r, s // sr)
+                if strong and kind is TNormKind.LUKASIEWICZ:
+                    text = f"{a} + {b} - {k(s)} if {a} + {b} > {k(s)} else {k(0)}"
+                else:
+                    text = f"{a} if {a} {'>' if isinstance(e, Or) else '<'} {b} else {b}"
+                got = emit(d, text, s)
+        elif isinstance(e, GradedImplication):
+            # mean(x_i / s_i) <= x_c / s_c + 1 - u / v, times n * lcm of all
+            # denominators, is one comparison of ints; equal antecedents
+            # share one term.
+            ants = [(term(a), count) for a, count in Counter(e.antecedents).items()]
+            c, sc, d = term(e.consequent)
+            n, (u, v) = len(e.antecedents), e.grade.as_integer_ratio()
+            scale = lcm(sc, v, *(s for (_, s, _), _ in ants))
+            d = max(d, *(da for (_, _, da), _ in ants))
+            terms = [lift(a, count * (scale // s)) for (a, s, _), count in ants]
+            total = terms[0] if len(terms) == 1 else emit(d, terms[0])[0]
+            body[d + 1] += (f"{total} += {t}" for t in terms[1:])
+            slack = k(n * (scale - u * (scale // v)))
+            got = emit(d, f"{total} <= {lift(c, n * (scale // sc))} + {slack}")
+        elif isinstance(e, Atom):
+            if not isinstance(e.content, GradedImplication):
+                raise AtomKindError(_NO_DEGREE_SEMANTICS)
+            got = term(e.content)
+        elif isinstance(e, ONot):
+            name, _, d = term(e.operand)
+            got = emit(d, f"not {name}")
+        elif isinstance(e, (OAnd, OOr)):
+            (l, _, dl), (r, _, dr) = term(e.left), term(e.right)
+            got = emit(max(dl, dr), f"{l} {'and' if isinstance(e, OAnd) else 'or'} {r}")
         else:
-            def fn(p):
-                x, y = a * fl(p), b * fr(p)
-                return x if x < y else y
-        return fn, s
+            raise TypeError(f"not a formula or basic expression: {e!r}")
+        memo[e] = got
+        return got
 
-    def implication(g) -> Callable[[tuple], bool]:
-        if not isinstance(g, GradedImplication):
-            raise AtomKindError(_NO_DEGREE_SEMANTICS)
-        # mean(x_i / s_i) <= x_c / s_c + 1 - u / v, times n * lcm of all
-        # denominators, is one comparison of ints.
-        ants = [basic(a) for a in g.antecedents]
-        fc, sc = basic(g.consequent)
-        n = len(ants)
-        u, v = g.grade.numerator, g.grade.denominator
-        scale = lcm(sc, v, *(s for _, s in ants))
-        kc = n * (scale // sc)
-        slack = n * (scale - u * (scale // v))
-        if n == 1:
-            ((fa, sa),) = ants
-            ka = scale // sa
-            return lambda p: ka * fa(p) <= kc * fc(p) + slack
-        terms = [(scale // s, f) for f, s in ants]
-        return lambda p: sum(k * f(p) for k, f in terms) <= kc * fc(p) + slack
-
-    return lambda f: compile_outer(f, implication)
+    # A member false, or the goal true, on a prefix of a point is so on
+    # every point extending it: skip them all from that loop on.
+    for c in itertools.chain.from_iterable(map(conjuncts, theory)):
+        name, _, d = term(c)
+        body[d + 1].append(f"if not {name}: {'continue' if d >= 0 else 'return'}")
+    name, _, d = term(formula)
+    body[d + 1].append(f"if {name}: {'continue' if d >= 0 else 'return'}")
+    lines = []
+    for d, statements in enumerate(body):
+        if d:
+            xs = range(d - 1, len(ordered)) if d == _LOOPS else (d - 1,)
+            grid = (k(ranges[d - 1]) if len(xs) == 1
+                    else f"_product({', '.join(k(ranges[i]) for i in xs)})")
+            lines.append(" " * d + f"for {', '.join(f'x{i}' for i in xs)} in {grid}:")
+        lines += (" " * (d + 1) + s for s in statements)
+    lines.append(" " * len(body) + f"return ({''.join(f'x{i}, ' for i in range(len(ordered)))})")
+    namespace: dict = {}
+    exec(f"def search(_product, {''.join(f'{name}, ' for name in consts.values())}):\n"
+         + "\n".join(lines), namespace)
+    return namespace["search"](itertools.product, *consts)
 
 
 def find_countermodel(
@@ -220,11 +260,16 @@ def find_countermodel(
     ``x ->[c] bot`` means x <= 1 - c, since a unit implication ``a ->[c] b``
     holds iff deg(a) <= deg(b) + 1 - c under every t-norm.  A skipped point
     fails a member, so it is no countermodel, and the box keeps the order.
+    In the generated search (see the module docstring), a conjunct of a
+    member that fails, or a goal that holds, skips every point extending the
+    prefix its last variable closes: it reads no later variable, so it fails
+    (holds) on all of them, and none of them is a countermodel.
     Raises ResourceLimitError when the box has more than ``max_points``
     evaluations rather than searching a truncated grid, and AtomKindError
     for a graded-variable atom before any point is visited.
     """
     kind = TNormKind(kind)
+    _grid_sizes(denominator=denominator, max_points=max_points)
     m = denominator
     if m < 1:
         raise ValueError("grid denominator must be at least 1")
@@ -248,18 +293,8 @@ def find_countermodel(
             box = " * ".join(f"{_shown(n)}**{k}" for n, k in sorted(Counter(sizes).items()))
             shown = f"box of {box} in a {shown}"
         raise ResourceLimitError(f"{shown} exceeds the budget of {max_points}")
-    compile_formula = _grid_compiler(ordered, m, kind)
-    members = [compile_formula(t) for t in theory]
-    goal = compile_formula(formula)
-
-    def hit(p: tuple) -> bool:
-        for member in members:
-            if not member(p):
-                return False
-        return not goal(p)
-
-    grid = itertools.product(*(range(lo[name], hi[name] + 1) for name in ordered))
-    point = next(filter(hit, grid), None)
+    point = _search(theory, formula, ordered,
+                    [range(lo[name], hi[name] + 1) for name in ordered], m, kind)
     if point is None:
         return None
     return Evaluation({name: Fraction(i, m) for name, i in zip(ordered, point)}, kind)

@@ -26,10 +26,10 @@ through one table keyed by node class, once per node; parsing it gives an
 equal tree.  A grade is one token, read through ``grades.GRADE_LITERAL``
 and made an exact rational by ``grades.as_grade``, the one rule for a
 degree written as text; antecedent lists are kept as canonically sorted
-multisets (``multiset``).  The grid search and the prototype regions compile
-formulas through one ``compile_outer``, given their atom compilers; the
-kernel and the canonical theory recogniser flatten conjunctions through
-one ``conjuncts``; ``atoms`` yields the atoms left to right.
+multisets (``multiset``).  The prototype regions compile formulas through
+``compile_outer``, given an atom compiler; the grid search, the kernel and
+the canonical theory recogniser flatten conjunctions through one
+``conjuncts``; ``atoms`` yields the atoms left to right.
 """
 
 from __future__ import annotations
@@ -184,7 +184,7 @@ class GradedVariable(_Syntax):
 class OuterFormula(_Syntax):
     """Base class for the outer, two-valued formula level."""
 
-    __slots__ = ()
+    __slots__ = ("_kind",)
 
 
 @_node
@@ -279,9 +279,25 @@ def atoms(f: OuterFormula) -> Iterator:
 
 def _check_homogeneous(f: OuterFormula) -> None:
     # Each side was checked when it was built, so one atom stands for it.
-    left, right = next(atoms(f.left)), next(atoms(f.right))
-    if isinstance(left, GradedImplication) != isinstance(right, GradedImplication):
+    kind = _implication_kind(f.left)
+    if kind != _implication_kind(f.right):
         raise ValueError("mixed atom kinds within one formula")
+    object.__setattr__(f, "_kind", kind)
+
+
+def _implication_kind(f: OuterFormula) -> bool:
+    """Whether the atoms of ``f`` are implications: the ``_kind`` slot of the
+    first node down the left spine that has it, then kept by the nodes passed."""
+    spine = []
+    while getattr(f, "_kind", None) is None and not isinstance(f, Atom):
+        if not isinstance(f, (ONot, OAnd, OOr)):
+            raise TypeError(f"not an outer formula: {f!r}")
+        spine.append(f)
+        f = f.operand if isinstance(f, ONot) else f.left
+    kind = isinstance(f.content, GradedImplication) if isinstance(f, Atom) else f._kind
+    for node in spine:
+        object.__setattr__(node, "_kind", kind)
+    return kind
 
 
 def vars_of_basic(e: BasicExpr) -> set:

@@ -398,6 +398,20 @@ class TestRegions:
         with pytest.raises(ValueError, match="grid denominator must be at least 1"):
             grid_worlds(2, k)
 
+    @pytest.mark.parametrize("value, shown", [(True, "True"), (2.0, "2.0"), ("3", "'3'")])
+    @pytest.mark.parametrize("argument", ["k", "max_points"])
+    def test_grid_sizes_must_be_ints(self, argument, value, shown):
+        sizes = {"k": 2, "max_points": 100, argument: value}
+        with pytest.raises(TypeError, match=f"^{argument} must be an int, got {shown}$"):
+            satisfied_on_grid(QEvaluation(("x",), {}), qv("x", 0), **sizes)
+
+    @pytest.mark.parametrize("value, shown", [(True, "True"), (2.0, "2.0"), ("3", "'3'")])
+    @pytest.mark.parametrize("argument", ["n", "k"])
+    def test_grid_worlds_sizes_must_be_ints(self, argument, value, shown):
+        sizes = {"n": 1, "k": 2, argument: value}
+        with pytest.raises(TypeError, match=f"^{argument} must be an int, got {shown}$"):
+            grid_worlds(**sizes)
+
     def test_grid_budget(self):
         ev = QEvaluation(tuple(f"x{i}" for i in range(12)), {})
         with pytest.raises(ResourceLimitError):

@@ -298,6 +298,13 @@ class TestCountermodelSearch:
         with pytest.raises(ValueError):
             find_countermodel((), goal, 2, "fancy")
 
+    @pytest.mark.parametrize("argument", ["denominator", "max_points"])
+    @pytest.mark.parametrize("value, shown", [(True, "True"), (2.0, "2.0"), ("3", "'3'")])
+    def test_grid_sizes_must_be_ints(self, argument, value, shown):
+        sizes = {"denominator": 2, "max_points": 100, argument: value}
+        with pytest.raises(TypeError, match=f"^{argument} must be an int, got {shown}$"):
+            find_countermodel((), Atom(gi(Var("p"), Var("q"), 1)), **sizes)
+
     def test_graded_variable_atom_rejected_before_the_sweep(self):
         # The first member fails everywhere, so a point-by-point sweep would
         # never reach the graded-variable atom and would report no
@@ -312,11 +319,13 @@ class TestCountermodelSearch:
             find_countermodel((), Atom(GradedVariable("x", 1)), 2)
 
 
-def _oracle_countermodel(theory, goal, m, kind):
-    """The first countermodel of a brute-force sweep over Evaluations."""
+def _oracle_countermodel(theory, goal, m, kind, box=None):
+    """The first countermodel of a brute-force sweep over Evaluations, on the
+    whole grid or on ``box``, the degrees each variable may take by sorted
+    name (when every other point fails the theory)."""
     names = sorted(set().union(*(vars_of_formula(f) for f in theory + (goal,))))
     grid = [Fraction(i, m) for i in range(m + 1)]
-    for point in itertools.product(grid, repeat=len(names)):
+    for point in itertools.product(*(box or [grid] * len(names))):
         ev = Evaluation(dict(zip(names, point)), kind)
         if satisfies_theory(ev, theory) and not satisfies_formula(ev, goal):
             return dict(zip(names, point))
@@ -436,6 +445,155 @@ class TestCompiledSearchDifferential:
             except ResourceLimitError as refused:
                 cut += str(refused).startswith("box of ")
         assert cut >= 60 and empty >= 15, (cut, empty)
+
+
+# Names of the generated search's own identifiers: a variable is only ever
+# written into its source as ``x<index>``.
+GENERATED_NAMES = ("x0", "t0", "k0", "search", "_k", "_product")
+
+
+def _prefix_case(rng, names):
+    """A query over ``names`` whose members and goal each read the first few
+    variables of one order (sorted, or as listed), and share subexpressions."""
+    order = sorted(names) if rng.random() < 0.7 else list(names)
+    m = 2 if len(names) > 4 else rng.randint(1, 3)
+    shared = []
+
+    def expr(j):
+        pick = [e for e, k in shared if k <= j]
+        if pick and rng.random() < 0.4:
+            return rng.choice(pick)
+        e = (_product_chain(rng, order[:j], rng.randint(2, 3)) if rng.random() < 0.3
+             else rand_basic(rng, order[:j], rng.randint(1, 2)))
+        shared.append((e, j))
+        return e
+
+    def atom(j):
+        ants = tuple(expr(j) for _ in range(rng.randint(1, 2)))
+        grade = _coprime_grade(rng, m) if rng.random() < 0.5 else rand_grade(rng, 6)
+        return Atom(GradedImplication(ants, expr(j), grade))
+
+    def member(j):
+        roll = rng.random()
+        if roll < 0.5:
+            return atom(j)
+        if roll < 0.8:
+            return OAnd(atom(rng.randint(1, j)), atom(j))
+        return ONot(atom(j)) if roll < 0.9 else OOr(atom(j), atom(rng.randint(1, j)))
+
+    n = len(order)
+    theory = tuple(member(rng.randint(1, n)) for _ in range(rng.randint(1, 3)))
+    goal = member(rng.randint(1, n - 1) if rng.random() < 0.7 else n)
+    return theory, goal, m
+
+
+def _wide_case(rng):
+    """19-22 variables, each held by a floor and a ceiling to one point, or
+    to two or three for four of them, two past the 17th; and the box."""
+    names = [f"v{i:02d}" for i in range(rng.randint(19, 22))]
+    m, ranges = 2, {}
+    free = set(rng.sample(range(17, len(names)), 2)) | set(rng.sample(range(17), 2))
+    for i, name in enumerate(names):
+        lo = rng.randint(0, m - (i in free))
+        ranges[name] = (lo, rng.randint(lo + 1, m) if i in free else lo)
+    theory = tuple(Atom(gi(Top(), Var(x), Fraction(lo, m))) for x, (lo, _) in ranges.items())
+    theory += tuple(Atom(gi(Var(x), Bottom(), Fraction(m - hi, m)))
+                    for x, (_, hi) in ranges.items())
+    reads = [names[i] for i in sorted(free)] + rng.sample(names, 3)
+    shared = [rand_basic(rng, reads, 2) for _ in range(4)]
+
+    def atom():
+        ants = tuple(rng.choice(shared + [rand_basic(rng, reads, 1)])
+                     for _ in range(rng.randint(1, 2)))
+        return Atom(GradedImplication(ants, rng.choice(shared), rand_grade(rng, 4)))
+
+    theory += (atom(), OOr(atom(), atom()))
+    box = [[Fraction(i, m) for i in range(lo, hi + 1)] for lo, hi in ranges.values()]
+    goal = OOr(atom(), theory[-1]) if rng.random() < 0.4 else OAnd(atom(), ONot(atom()))
+    return theory, goal, m, box
+
+
+def _compare_under_every_tnorm(theory, goal, m, box=None):
+    """Counts of found and clean verdicts; the same query runs under all three
+    t-norms one after the other, so nothing may carry over between them."""
+    found = 0
+    for kind in (LUK, PROD, MIN):
+        expected = _oracle_countermodel(theory, goal, m, kind, box)
+        got = find_countermodel(theory, goal, m, kind)
+        assert (got and got.values) == expected, (theory, goal, m, kind)
+        found += expected is not None
+    return found, 3 - found
+
+
+class TestGeneratedSearch:
+    """The generated search function against the Fraction sweep: pruning
+    at outer loops, the goal decided above the innermost loop, shared
+    subexpressions, the grouped innermost loop, and names that look like the
+    generated ones."""
+
+    def test_members_and_goal_on_prefixes(self):
+        rng = random.Random("generated-search:prefix")
+        totals, outer_members, outer_goals = [0, 0], 0, 0
+        for _ in range(45):
+            names = rng.sample("abcdefgh", rng.randint(4, 6))
+            theory, goal, m = _prefix_case(rng, names)
+            last = max(names)
+            outer_members += any(last not in vars_of_formula(c) for c in theory)
+            outer_goals += last not in vars_of_formula(goal)
+            for i, count in enumerate(_compare_under_every_tnorm(theory, goal, m)):
+                totals[i] += count
+        assert min(totals) >= 30 and outer_members >= 20 and outer_goals >= 20, (
+            totals, outer_members, outer_goals)
+
+    def test_variables_named_like_generated_identifiers(self):
+        rng = random.Random("generated-search:names")
+        totals = [0, 0]
+        for _ in range(25):
+            names = rng.sample(GENERATED_NAMES, len(GENERATED_NAMES))
+            theory, goal, m = _prefix_case(rng, names)
+            for i, count in enumerate(_compare_under_every_tnorm(theory, goal, m)):
+                totals[i] += count
+        assert min(totals) >= 15, totals
+        theory = (Atom(gi(Var("x0"), Var("_k"), 1)), Atom(gi(Top(), Var("search"), Fraction(1, 2))),
+                  Atom(gi(Var("_product"), Var("t0"), 1)))
+        counter = find_countermodel(theory, Atom(gi(Var("t0"), Var("k0"), 1)), 2)
+        assert counter.values == {"_k": 0, "_product": 0, "k0": 0, "search": Fraction(1, 2),
+                                  "t0": Fraction(1, 2), "x0": 0}
+
+    def test_more_variables_than_nested_loops(self):
+        rng = random.Random("generated-search:wide")
+        totals, grouped = [0, 0], 0
+        for _ in range(30):
+            theory, goal, m, box = _wide_case(rng)
+            grouped += math.prod(map(len, box[17:])) > 1
+            for i, count in enumerate(_compare_under_every_tnorm(theory, goal, m, box)):
+                totals[i] += count
+        assert min(totals) >= 15 and grouped >= 20, (totals, grouped)
+
+    def test_grade_past_the_int_to_text_limit(self):
+        # A denominator of 5,000 digits is a scale no source text could hold
+        c = Fraction(10**4999 - 1, 10**4999)
+        theory = (Atom(gi(Top(), Var("p"), Fraction(1, 2))),)
+        for goal, expected in ((Atom(gi(Var("p"), Var("q"), c)), {"p": Fraction(1, 2), "q": 0}),
+                               (Atom(gi(And(Var("p"), Var("q")), Var("q"), c)), None)):
+            for kind in (LUK, PROD, MIN):
+                assert _oracle_countermodel(theory, goal, 4, kind) == expected
+                got = find_countermodel(theory, goal, 4, kind)
+                assert (got and got.values) == expected
+
+    def test_mean_of_six_thousand_distinct_antecedents(self):
+        # One sum of 6,000 terms would overflow the compiler's recursion
+        rng = random.Random("generated-search:mean")
+        ants: dict = {}
+        while len(ants) < 6000:
+            ants[rand_basic(rng, ("p", "q"), 4)] = None
+        goal = Atom(GradedImplication(tuple(ants), Var("q"), Fraction(3, 4)))
+        theory = (Atom(gi(Top(), Var("p"), Fraction(1, 2))),)
+        expected = {"p": Fraction(1, 2), "q": 0}
+        assert _oracle_countermodel(theory, goal, 2, LUK) == expected
+        assert find_countermodel(theory, goal, 2).values == expected
+        goal = Atom(GradedImplication(tuple(ants), Top(), 1))
+        assert find_countermodel(theory, goal, 2) is None
 
 
 def _score_case(answers, goal):

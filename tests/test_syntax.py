@@ -109,6 +109,24 @@ class TestAstConstruction:
         with pytest.raises(TypeError):
             render(object())
 
+    def test_deep_chains_and_towers_build_in_linear_time(self):
+        # Each node keeps its atom kind, so a 20,000-level chain does not
+        # walk its left spine again for every level (minutes when it did),
+        # and a 20,000-deep negation tower is walked once, without recursion.
+        gv = Atom(GradedVariable("x", Fraction(1, 2)))
+        atom = Atom(gi(Var("p"), Var("q"), 1))
+        chain = tower = atom
+        for _ in range(20_000):
+            chain, tower = OAnd(chain, atom), ONot(tower)
+        for deep in (chain, tower, OOr(atom, tower)):
+            with pytest.raises(ValueError, match="mixed atom kinds"):
+                OAnd(deep, gv)
+            with pytest.raises(ValueError, match="mixed atom kinds"):
+                OOr(gv, deep)
+            assert isinstance(OAnd(atom, deep), OAnd)
+        with pytest.raises(TypeError, match="not an outer formula"):
+            OAnd(atom, ONot(gi(Var("p"), Var("q"), 1)))
+
     def test_outer_implies_desugars(self):
         phi = Atom(gi(Var("a"), Var("b"), 1))
         psi = Atom(gi(Var("b"), Var("c"), 1))
