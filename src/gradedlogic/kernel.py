@@ -97,7 +97,6 @@ from .syntax import (
     Top,
     Var,
     atom_content,
-    atoms,
     conjuncts,
     implication_parts,
     multiset,
@@ -576,7 +575,7 @@ class ProofBuilder:
         depth is about log2 of the count and the conjuncts stay in order.
         ValueError, and no line appended, for an empty list, a bad index or
         lines of mixed atom kinds."""
-        if len({type(next(atoms(self.formula(i)))) for i in indices}) != 1:
+        if len({self.formula(i)._kind for i in indices}) != 1:
             raise ValueError("conjoin_all needs one or more lines of one atom kind")
         level = list(indices)
         while len(level) > 1:

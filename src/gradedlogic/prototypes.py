@@ -25,8 +25,9 @@ type, ValueError for another dimension or a value outside [0, 1].
 
 Arithmetic runs on integers: worlds and points are scaled by the lcm L of
 their denominators, and a distance or degree becomes one Fraction at the
-end.  A formula is compiled once into a test of scaled worlds, so the grid
-check builds no Fraction per world and refuses unbound variables up front.
+end.  ``_region`` compiles a formula once, in one walk, into a test of
+scaled worlds, so the grid check builds no Fraction per world and refuses
+unbound variables and implication atoms before the first world.
 """
 
 from __future__ import annotations
@@ -40,15 +41,8 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import AtomKindError, ResourceLimitError, UnboundVariableError
 from .grades import ONE, ZERO, Grade, _grid_sizes, _shown, as_grade
-from .syntax import (
-    GradedVariable,
-    OAnd,
-    OuterFormula,
-    atom_content,
-    compile_outer,
-    conjuncts,
-    implication_parts,
-)
+from .syntax import (Atom, GradedVariable, OAnd, ONot, OOr, OuterFormula, atom_content,
+                     conjuncts, implication_parts)
 
 DEFAULT_GRID_BUDGET = 5_000_000
 _DISTANCES_KEPT = 64
@@ -262,17 +256,24 @@ def degree(ev: QEvaluation, var: str, w: World) -> Grade:
 def _region(ev: QEvaluation, f: OuterFormula, scale: int) -> Callable[[tuple], bool]:
     """Compile ``f`` to a membership test of worlds given as ints at ``scale``,
     a multiple of ``ev.denominator``.  Unbound variables and graded-implication
-    atoms raise here, before any world is visited."""
-
-    def atom(q) -> Callable[[tuple], bool]:
+    atoms raise here, left to right, before any world is visited."""
+    if isinstance(f, Atom):
+        q = f.content
         if not isinstance(q, GradedVariable):
             raise AtomKindError("graded-implication atoms have no region semantics")
         to_protos, to_counters = _distances(ev, q.var, scale)
         u, v = q.grade.numerator, q.grade.denominator
         # the degree dc / (dp + dc) equals the grade u / v
         return lambda x: (dc := to_counters(x)) * v == u * (to_protos(x) + dc)
-
-    return compile_outer(f, atom)
+    if isinstance(f, ONot):
+        operand = _region(ev, f.operand, scale)
+        return lambda x: not operand(x)
+    if not isinstance(f, (OAnd, OOr)):
+        raise TypeError(f"not an outer formula: {f!r}")
+    left, right = _region(ev, f.left, scale), _region(ev, f.right, scale)
+    if isinstance(f, OAnd):
+        return lambda x: left(x) and right(x)
+    return lambda x: left(x) or right(x)
 
 
 def in_region(ev: QEvaluation, f: OuterFormula, w: World) -> bool:
@@ -305,8 +306,8 @@ def satisfied_on_grid(
     _grid_sizes(k=k, max_points=max_points)
     scale = lcm(ev.denominator, k)
     steps = _grid_steps(k, scale)
-    if len(steps) ** ev.dimension > max_points:
-        raise ResourceLimitError(f"grid of {len(steps)}**{ev.dimension} worlds"
+    if (k + 1) ** ev.dimension > max_points:
+        raise ResourceLimitError(f"grid of {_shown(k + 1)}**{ev.dimension} worlds"
                                  f" exceeds the budget of {max_points}")
     return all(map(_region(ev, f, scale), itertools.product(steps, repeat=ev.dimension)))
 

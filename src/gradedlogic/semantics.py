@@ -147,11 +147,11 @@ def satisfies_theory(v: Evaluation, theory: Iterable[OuterFormula]) -> bool:
 _LOOPS = 18  # nested loops at most; see the module docstring
 
 
-def _search(theory, formula, ordered: Sequence[str], ranges: Sequence[range],
+def _search(members, formula, ordered: Sequence[str], ranges: Sequence[range],
             m: int, kind: TNormKind) -> Optional[tuple]:
     """The first point of the box ``ranges`` (one per name in ``ordered``)
-    where ``theory`` holds and ``formula`` fails, or None, found by one
-    generated function; see ``find_countermodel``."""
+    where every formula of ``members`` holds and ``formula`` fails, or None,
+    found by one generated function; see ``find_countermodel``."""
     index = {name: i for i, name in enumerate(ordered)}
     body = [[] for _ in range(min(len(ordered), _LOOPS) + 1)]  # body[d + 1] runs in loop d
     consts, memo, fresh = {}, {}, itertools.count()
@@ -223,7 +223,7 @@ def _search(theory, formula, ordered: Sequence[str], ranges: Sequence[range],
 
     # A member false, or the goal true, on a prefix of a point is so on
     # every point extending it: skip them all from that loop on.
-    for c in itertools.chain.from_iterable(map(conjuncts, theory)):
+    for c in members:
         name, _, d = term(c)
         body[d + 1].append(f"if not {name}: {'continue' if d >= 0 else 'return'}")
     name, _, d = term(formula)
@@ -260,6 +260,8 @@ def find_countermodel(
     ``x ->[c] bot`` means x <= 1 - c, since a unit implication ``a ->[c] b``
     holds iff deg(a) <= deg(b) + 1 - c under every t-norm.  A skipped point
     fails a member, so it is no countermodel, and the box keeps the order.
+    The search checks only the other conjuncts: ceil(c m) and
+    floor((1 - c) m) are the bounds exactly, so every box point meets them.
     In the generated search (see the module docstring), a conjunct of a
     member that fails, or a goal that holds, skips every point extending the
     prefix its last variable closes: it reads no later variable, so it fails
@@ -277,15 +279,18 @@ def find_countermodel(
     for t in theory:
         names |= vars_of_formula(t)
     ordered = sorted(names)
-    lo, hi = dict.fromkeys(ordered, 0), dict.fromkeys(ordered, m)
+    lo, hi, rest = dict.fromkeys(ordered, 0), dict.fromkeys(ordered, m), []
     for c in itertools.chain.from_iterable(map(conjuncts, theory)):
         g = c.content if type(c) is Atom else None
         if type(g) is GradedImplication and len(g.antecedents) == 1:
             (a,), b, (u, v) = g.antecedents, g.consequent, g.grade.as_integer_ratio()
             if type(a) is Top and type(b) is Var:
                 lo[b.name] = max(lo[b.name], -(-u * m // v))
-            elif type(a) is Var and type(b) is Bottom:
+                continue
+            if type(a) is Var and type(b) is Bottom:
                 hi[a.name] = min(hi[a.name], (v - u) * m // v)
+                continue
+        rest.append(c)
     sizes = [max(hi[name] - lo[name] + 1, 0) for name in ordered]
     if prod(sizes) > max_points:
         shown = f"grid of {_shown(m + 1)}**{len(ordered)} evaluations"
@@ -293,7 +298,7 @@ def find_countermodel(
             box = " * ".join(f"{_shown(n)}**{k}" for n, k in sorted(Counter(sizes).items()))
             shown = f"box of {box} in a {shown}"
         raise ResourceLimitError(f"{shown} exceeds the budget of {max_points}")
-    point = _search(theory, formula, ordered,
+    point = _search(rest, formula, ordered,
                     [range(lo[name], hi[name] + 1) for name in ordered], m, kind)
     if point is None:
         return None

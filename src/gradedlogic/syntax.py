@@ -26,10 +26,10 @@ through one table keyed by node class, once per node; parsing it gives an
 equal tree.  A grade is one token, read through ``grades.GRADE_LITERAL``
 and made an exact rational by ``grades.as_grade``, the one rule for a
 degree written as text; antecedent lists are kept as canonically sorted
-multisets (``multiset``).  The prototype regions compile formulas through
-``compile_outer``, given an atom compiler; the grid search, the kernel and
-the canonical theory recogniser flatten conjunctions through one
-``conjuncts``; ``atoms`` yields the atoms left to right.
+multisets (``multiset``).  An outer node records its atom kind when it is
+built, and a copy or a pickle is rebuilt through the constructor.  The grid
+search, the kernel and the canonical theory recogniser flatten conjunctions
+through one ``conjuncts``; ``atoms`` yields the atoms left to right.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from .grades import GRADE_LITERAL, Grade, as_grade
 class _Syntax:
     """Base of every syntax node: ``str`` is the canonical text.  A node
     keeps its structural hash and its text, once computed, in the ``_hash``
-    and ``_text`` slots; pickles and copies hold only the fields, so a node
-    loaded in another process hashes afresh under that process's seed."""
+    and ``_text`` slots; pickles and copies are constructor calls on the
+    fields, so a node loaded in another process hashes under its seed."""
 
     __slots__ = ("_hash", "_text")
 
@@ -54,7 +54,8 @@ class _Syntax:
 
 
 def _node(cls):
-    """``cls`` as a frozen, slotted dataclass whose structural hash is cached."""
+    """``cls`` as a frozen, slotted dataclass whose structural hash is cached
+    and which pickles and copies as its constructor call."""
     cls = dataclass(frozen=True, slots=True)(cls)
     names = tuple(f.name for f in fields(cls))
 
@@ -66,6 +67,7 @@ def _node(cls):
         return h
 
     cls.__hash__ = __hash__
+    cls.__reduce__ = lambda self: (cls, tuple(map(self.__getattribute__, names)))
     return cls
 
 
@@ -182,7 +184,8 @@ class GradedVariable(_Syntax):
 
 
 class OuterFormula(_Syntax):
-    """Base class for the outer, two-valued formula level."""
+    """Base class for the outer, two-valued formula level; ``_kind``, set when
+    a node is built, says whether its atoms are graded implications."""
 
     __slots__ = ("_kind",)
 
@@ -191,10 +194,16 @@ class OuterFormula(_Syntax):
 class Atom(OuterFormula):
     content: Union[GradedImplication, GradedVariable]
 
+    def __post_init__(self):
+        object.__setattr__(self, "_kind", isinstance(self.content, GradedImplication))
+
 
 @_node
 class ONot(OuterFormula):
     operand: OuterFormula
+
+    def __post_init__(self):
+        object.__setattr__(self, "_kind", _kind_of(self.operand))
 
 
 @_node
@@ -213,6 +222,19 @@ class OOr(OuterFormula):
 
     def __post_init__(self):
         _check_homogeneous(self)
+
+
+def _kind_of(f: OuterFormula) -> bool:
+    if not isinstance(f, OuterFormula):
+        raise TypeError(f"not an outer formula: {f!r}")
+    return f._kind
+
+
+def _check_homogeneous(f: OuterFormula) -> None:
+    kind = _kind_of(f.left)
+    if kind != _kind_of(f.right):
+        raise ValueError("mixed atom kinds within one formula")
+    object.__setattr__(f, "_kind", kind)
 
 
 def outer_implies(phi: OuterFormula, psi: OuterFormula) -> OOr:
@@ -245,23 +267,6 @@ def conjuncts(f: OuterFormula) -> list:
     return out
 
 
-def compile_outer(f: OuterFormula, atom: Callable) -> Callable:
-    """Compile ``f`` to a predicate: ``atom(content)`` compiles each atom's
-    content, and ``!``, ``/\\`` and ``\\/`` combine the results classically.
-    Atoms are compiled left to right, so the first bad one raises."""
-    if isinstance(f, Atom):
-        return atom(f.content)
-    if isinstance(f, ONot):
-        operand = compile_outer(f.operand, atom)
-        return lambda x: not operand(x)
-    if not isinstance(f, (OAnd, OOr)):
-        raise TypeError(f"not an outer formula: {f!r}")
-    left, right = compile_outer(f.left, atom), compile_outer(f.right, atom)
-    if isinstance(f, OAnd):
-        return lambda x: left(x) and right(x)
-    return lambda x: left(x) or right(x)
-
-
 def atoms(f: OuterFormula) -> Iterator:
     """The contents of the atoms of ``f``, left to right."""
     pending = [f]
@@ -275,29 +280,6 @@ def atoms(f: OuterFormula) -> Iterator:
             pending += (g.right, g.left)
         else:
             raise TypeError(f"not an outer formula: {g!r}")
-
-
-def _check_homogeneous(f: OuterFormula) -> None:
-    # Each side was checked when it was built, so one atom stands for it.
-    kind = _implication_kind(f.left)
-    if kind != _implication_kind(f.right):
-        raise ValueError("mixed atom kinds within one formula")
-    object.__setattr__(f, "_kind", kind)
-
-
-def _implication_kind(f: OuterFormula) -> bool:
-    """Whether the atoms of ``f`` are implications: the ``_kind`` slot of the
-    first node down the left spine that has it, then kept by the nodes passed."""
-    spine = []
-    while getattr(f, "_kind", None) is None and not isinstance(f, Atom):
-        if not isinstance(f, (ONot, OAnd, OOr)):
-            raise TypeError(f"not an outer formula: {f!r}")
-        spine.append(f)
-        f = f.operand if isinstance(f, ONot) else f.left
-    kind = isinstance(f.content, GradedImplication) if isinstance(f, Atom) else f._kind
-    for node in spine:
-        object.__setattr__(node, "_kind", kind)
-    return kind
 
 
 def vars_of_basic(e: BasicExpr) -> set:

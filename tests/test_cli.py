@@ -605,6 +605,13 @@ class TestQcheckCommand:
         assert not out
         assert f"{flag} must be at least 1" in err
 
+    def test_grid_past_a_machine_word_is_an_input_error(self, theory_file, capsys):
+        code, out, err = run(capsys, "qcheck", "--theory", theory_file, "--dim", "2",
+                             "--grid", "100000000000000000000")
+        assert (code, out) == (2, "")
+        assert err == ("error: grid of 100000000000000000001**2 worlds"
+                       " exceeds the budget of 5000000\n")
+
     def test_grid_checked_before_recognition(self, capsys, tmp_path):
         path = tmp_path / "other.lgi"
         path.write_text("((d, 1) /\\ (p1, 1))\n", encoding="utf-8")

@@ -6,8 +6,9 @@ answers CSV, or an argument value (a grade, ``--dim``, ``--grid``,
 ``--grid-denominator``).  Whatever the input, ``main`` returns 0, 1 or 2
 without raising; argparse's own usage exit, ``SystemExit(2)``, counts as 2.
 Exit 1 comes only with the command's negative verdict on stdout and nothing
-on stderr, and exit 2 only with a message on stderr.  Grids stay at most
-4 points a side, so every case is quick.
+on stderr, and exit 2 only with a message on stderr.  A grid searched has
+at most 4 points a side, and one past a machine word must meet the budget,
+so every case is quick.
 """
 
 from __future__ import annotations
@@ -121,8 +122,10 @@ def mutate_json_value(rng: random.Random, text: str) -> str:
 
 
 def small_int(rng: random.Random) -> str:
-    """An argument value for a grid or dimension option, valid or not."""
-    return rng.choice(("1", "2", "3", "4", "0", "-1", "", "x", "2.0", "1e3", "+2", " 3"))
+    """An argument value for a grid or dimension option, valid or not; some
+    are past a machine word."""
+    return rng.choice(("1", "2", "3", "4", "0", "-1", "", "x", "2.0", "1e3", "+2", " 3",
+                       "9223372036854775808", str(10**30)))
 
 
 def tnorm_args(rng: random.Random) -> list:

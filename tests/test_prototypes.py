@@ -424,6 +424,14 @@ class TestRegions:
             satisfied_on_grid(ev, qv("x0", F(0)), 8)
         assert str(refused.value) == "grid of 9**5000 worlds exceeds the budget of 5000000"
 
+    def test_grid_past_a_machine_word_is_over_budget(self):
+        # len() of a range of 2**64 + 1 coordinates overflows; the count does not
+        ev = QEvaluation(("x", "y"), {})
+        with pytest.raises(ResourceLimitError) as refused:
+            satisfied_on_grid(ev, qv("x", 0), 2**64)
+        assert str(refused.value) == (f"grid of {2**64 + 1}**2 worlds"
+                                      " exceeds the budget of 5000000")
+
 
 class TestCanonicalEvaluation:
     def test_disorder_degree_is_the_mean(self):

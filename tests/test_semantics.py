@@ -41,6 +41,7 @@ from gradedlogic import (
     satisfies_gi_luk_form,
     satisfies_theory,
     score_theory,
+    semantics,
     vars_of_formula,
 )
 
@@ -629,6 +630,23 @@ class TestBoundedSearch:
         theory, goal = _score_case(self.TWENTY_ONE, "top ->[3/4] dep")
         counter = find_countermodel(theory, goal, 4, kind)
         assert counter is not None and counter["dep"] == Fraction(1, 2)
+
+    def test_unit_bounds_are_not_checked_again(self, monkeypatch):
+        # Every box point meets the floors and ceilings the box was cut
+        # from, so of the 44 members only the two mean implications are
+        # checked, and then the goal.
+        sources = []
+
+        def spy(source, namespace):
+            sources.append(source)
+            exec(source, namespace)
+
+        monkeypatch.setattr(semantics, "exec", spy, raising=False)
+        theory, goal = _score_case(self.TWENTY_ONE, "top ->[3/4] dep")
+        assert len(theory) == 44 and find_countermodel(theory, goal, 4)["dep"] == Fraction(1, 2)
+        checks = [line.split()[1] for line in sources[0].splitlines()
+                  if line.lstrip().startswith("if ")]
+        assert len(checks) == 3 and checks.count("not") == 2, checks
 
     def test_contradictory_bounds_leave_no_countermodel(self):
         theory = (OAnd(Atom(gi(Top(), Var("p"), Fraction(2, 3))),

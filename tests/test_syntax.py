@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import itertools
 import json
 import os
 import pickle
@@ -33,6 +34,7 @@ from gradedlogic import (
     OOr,
     Or,
     ParseError,
+    ProofBuilder,
     Strong,
     Top,
     Var,
@@ -373,6 +375,55 @@ class TestNodeCaches:
         # only two or more antecedents need the sort by text
         lone = object()
         assert multiset([lone]) == (lone,) and multiset(()) == ()
+
+
+def _four_ways(f) -> list:
+    """``f`` as built, parsed from its text, deep-copied and pickled."""
+    return [f, parse_formula(render(f)), copy.deepcopy(f), pickle.loads(pickle.dumps(f))]
+
+
+class TestAtomKind:
+    """An outer node records its atom kind when it is built; a parsed,
+    copied or loaded node records it again through its constructor."""
+
+    IMPLICATION = Atom(gi(Var("p"), Var("q"), 1))
+    GRADED_VARIABLE = Atom(GradedVariable("x", Fraction(1, 2)))
+
+    @pytest.mark.parametrize("mode", ("gi", "q"))
+    def test_mixing_kinds_is_refused_however_a_side_was_made(self, mode):
+        same, other = self.IMPLICATION, self.GRADED_VARIABLE
+        if mode == "q":
+            same, other = other, same
+        rng = random.Random(f"atom-kind-{mode}")
+        for _ in range(60):
+            for f in _four_ways(rand_formula(rng, depth=3, mode=mode)):
+                for g, node in itertools.product((f, ONot(f)), (OAnd, OOr)):
+                    assert node(g, same).left is g and node(same, g).right is g
+                    with pytest.raises(ValueError, match="mixed atom kinds"):
+                        node(g, other)
+                    with pytest.raises(ValueError, match="mixed atom kinds"):
+                        node(other, g)
+
+    def test_conjoin_all_refuses_lines_of_two_kinds(self):
+        theory = pickle.loads(pickle.dumps((self.IMPLICATION, self.GRADED_VARIABLE)))
+        b = ProofBuilder(theory)
+        b.hyp(0), b.hyp(1)
+        for indices in ([0, 1], [1, 0], [0, 0, 1]):
+            with pytest.raises(ValueError, match="one atom kind"):
+                b.conjoin_all(indices)
+        assert len(b.lines) == 2
+        assert b.formula(b.conjoin_all([1, 1])) == OAnd(theory[1], theory[1])
+
+    @pytest.mark.parametrize("bad", [gi(Var("p"), Var("q"), 1), And(Var("p"), Var("q")), None],
+                             ids=("implication", "basic", "none"))
+    def test_only_outer_formulas_are_combined(self, bad):
+        # else "!" around an implication would render as "!p ->[1] q",
+        # which parses back as a different tree
+        atom = self.IMPLICATION
+        for build in (lambda: ONot(bad), lambda: OAnd(atom, bad), lambda: OAnd(bad, atom),
+                      lambda: OOr(atom, bad), lambda: OOr(bad, atom)):
+            with pytest.raises(TypeError, match="not an outer formula"):
+                build()
 
 
 def _nested(shape: str, depth: int) -> str:
