@@ -48,8 +48,9 @@ the fixed-arity schemas require their exact binary shape.
 A schema is a view plus a condition.  ``_views`` cuts a formula once into
 the shapes the schemas read (a one-antecedent atom, a two-premise arrow,
 ...); the condition receives the parts of its view and the session t-norm
-and says whether every side condition holds.  A new schema is one
-``_SCHEMAS`` entry, placed at its catalogue position.
+and says whether every side condition holds.  The mean_trans* conditions
+share one premise split, ``_spread``.  A new schema is one ``_SCHEMAS``
+entry, placed at its catalogue position.
 ``ProofBuilder.infer`` is the builder's one inference step: the axiom
 instance ``line => target``, then modus ponens.
 
@@ -206,14 +207,13 @@ def _views(f: OuterFormula) -> dict:
         gi     (g,)        f is the implication atom g
         unit   (a, b, d)   f is the unit a ->[d] b
         pair   (x, y, z)   f is (x /\\ y) => z for units x, y, z
-        arrow  (x, y)      f is x => y for units x, y
         nary   (gs, g)     f is (c1 /\\ ... /\\ cn) => g, n >= 2, for an
                            implication g; gs[i] is ci as an implication or None
         mean   (g, z)      f is g => z for an implication g and a unit z
         not    (a, b, d)   f is !(a ->[d] b)
-        or     (x, y)      f is x \\/ y for units x, y (not an arrow)
+        or     (x, y)      f is x \\/ y for units x, y (not an outer implication)
     """
-    views = dict.fromkeys(("gi", "unit", "pair", "arrow", "nary", "mean", "not", "or"))
+    views = dict.fromkeys(("gi", "unit", "pair", "nary", "mean", "not", "or"))
     g = atom_content(f, GradedImplication)
     if g is not None:
         views["gi"] = (g,)
@@ -225,9 +225,6 @@ def _views(f: OuterFormula) -> dict:
         z = _single(conclusion)
         if premise is not None and z is not None:
             views["mean"] = (premise, z)
-            x = _single(premise)
-            if x is not None:
-                views["arrow"] = (x, z)
         premises = conjuncts(parts[0])
         if len(premises) >= 2 and conclusion is not None:
             gs = tuple(atom_content(c, GradedImplication) for c in premises)
@@ -246,52 +243,15 @@ def _views(f: OuterFormula) -> dict:
     return views
 
 
-def _mean_trans1(gs, conclusion, kind):
-    for j, inner in enumerate(gs):
-        if inner is None or inner.consequent != conclusion.consequent:
-            continue
-        rest = gs[:j] + gs[j + 1:]
-        if len(inner.antecedents) != len(rest):
-            continue
-        steps = [_single(r) for r in rest]
-        if any(s is None for s in steps):
-            continue
-        if multiset(s.cons for s in steps) != inner.antecedents:
-            continue
-        if multiset(s.ant for s in steps) != conclusion.antecedents:
-            continue
-        if conclusion.grade == luk_tnorm(mean([s.grade for s in steps]), inner.grade):
-            return True
-    return False
-
-
-def _mean_trans2(gs, conclusion, kind):
-    if len(gs) != 2:
-        return False
-    for head, second in (gs, gs[::-1]):
-        tail = _single(second)
-        if head is None or tail is None:
-            continue
-        if tail.ant == head.consequent and conclusion.antecedents == head.antecedents \
-                and conclusion.consequent == tail.cons \
-                and conclusion.grade == luk_tnorm(head.grade, tail.grade):
-            return True
-    return False
-
-
-def _mean_trans3(gs, conclusion, kind):
+def _spread(gs, special):
+    """Each split of the premises ``gs`` that sets one premise apart: ``(g,
+    units)`` for each premise g that ``special`` accepts, with the other
+    premises as units; a split where another premise is not a unit is skipped."""
     for j, g in enumerate(gs):
-        s = _single(g)
-        if s is None or s.ant != Top() or s.cons != conclusion.consequent:
-            continue
-        steps = [_single(r) for r in gs[:j] + gs[j + 1:]]
-        if any(x is None or x.cons != Bottom() for x in steps):
-            continue
-        if multiset(x.ant for x in steps) != conclusion.antecedents:
-            continue
-        if conclusion.grade == luk_tconorm(mean([x.grade for x in steps]), s.grade):
-            return True
-    return False
+        if g is not None and special(g):
+            units = [_single(r) for r in gs[:j] + gs[j + 1:]]
+            if None not in units:
+                yield g, units
 
 
 # Schema name -> (view, condition), in catalogue (match) order.
@@ -318,7 +278,8 @@ _SCHEMAS = {
                 and z.grade == tconorm(kind, x.grade, y.grade)),
     "strong3": ("unit", lambda a, b, d, kind:
                 (a, b, d) == (Top(), Strong(Top(), Top()), ONE)),
-    "neg1": ("arrow", lambda x, y, kind: y == (Neg(x.cons), Neg(x.ant), x.grade)),
+    "neg1": ("mean", lambda g, z, kind: len(g.antecedents) == 1
+             and z == (Neg(g.consequent), Neg(g.antecedents[0]), g.grade)),
     "neg2": ("unit", lambda a, b, d, kind: d == ONE and a == Neg(Neg(b))),
     "neg3": ("unit", lambda a, b, d, kind: d == ONE and b == Neg(Neg(a))),
     "top": ("unit", lambda a, b, d, kind: d == ONE and b == Top()),
@@ -337,9 +298,21 @@ _SCHEMAS = {
     "lin2": ("or", lambda x, y, kind:
              x.ant == Top() and y.cons == Bottom() and y.ant == x.cons
              and y.grade == negate(x.grade)),
-    "mean_trans1": ("nary", _mean_trans1),
-    "mean_trans2": ("nary", _mean_trans2),
-    "mean_trans3": ("nary", _mean_trans3),
+    "mean_trans1": ("nary", lambda gs, g, kind: any(
+        multiset(u.cons for u in units) == inner.antecedents
+        and multiset(u.ant for u in units) == g.antecedents
+        and g.grade == luk_tnorm(mean([u.grade for u in units]), inner.grade)
+        for inner, units in _spread(gs, lambda h: h.consequent == g.consequent))),
+    "mean_trans2": ("nary", lambda gs, g, kind: len(gs) == 2 and any(
+        tail.ant == head.consequent and tail.cons == g.consequent
+        and g.grade == luk_tnorm(head.grade, tail.grade)
+        for head, (tail,) in _spread(gs, lambda h: h.antecedents == g.antecedents))),
+    "mean_trans3": ("nary", lambda gs, g, kind: any(
+        all(u.cons == Bottom() for u in units)
+        and multiset(u.ant for u in units) == g.antecedents
+        and g.grade == luk_tconorm(mean([u.grade for u in units]), top.grade)
+        for top, units in _spread(
+            gs, lambda h: h.antecedents == (Top(),) and h.consequent == g.consequent))),
     "mean_top": ("mean", lambda premise, z, kind:
                  all(a == Top() for a in premise.antecedents)
                  and z == (Top(), premise.consequent, premise.grade)),

@@ -282,18 +282,24 @@ def in_region(ev: QEvaluation, f: OuterFormula, w: World) -> bool:
     return _region(ev, f, scale)(x)
 
 
-def _grid_steps(k: int, scale: int) -> range:
-    """The k-denominator grid's coordinates times ``scale``, a multiple of ``k``."""
+def _grid_steps(k: int, scale: int, n: int, max_points: int) -> range:
+    """The k-denominator grid's coordinates times ``scale``, a multiple of ``k``.
+    ResourceLimitError when the grid of [0,1]^n has more than ``max_points``
+    worlds; a huge n is refused by 2**n, before the power is taken."""
     if k < 1:
         raise ValueError("grid denominator must be at least 1")
+    if n > max_points.bit_length() or (k + 1) ** n > max_points:
+        raise ResourceLimitError(f"grid of {_shown(k + 1)}**{_shown(n)} worlds"
+                                 f" exceeds the budget of {max_points}")
     return range(0, scale + 1, scale // k)
 
 
 def grid_worlds(n: int, k: int) -> Iterable[World]:
-    """All worlds of [0,1]^n with coordinates on the k-denominator grid."""
+    """All worlds of [0,1]^n with coordinates on the k-denominator grid;
+    ResourceLimitError past ``DEFAULT_GRID_BUDGET`` worlds."""
     _grid_sizes(n=n, k=k)
-    steps = [Fraction(i, k) for i in _grid_steps(k, k)]
-    return itertools.product(steps, repeat=n)
+    steps = _grid_steps(k, k, n, DEFAULT_GRID_BUDGET)
+    return itertools.product([Fraction(i, k) for i in steps] if n > 0 else (), repeat=n)
 
 
 def satisfied_on_grid(
@@ -305,10 +311,7 @@ def satisfied_on_grid(
     """Does the region of ``f`` cover every grid world?  Grid verdicts only."""
     _grid_sizes(k=k, max_points=max_points)
     scale = lcm(ev.denominator, k)
-    steps = _grid_steps(k, scale)
-    if (k + 1) ** ev.dimension > max_points:
-        raise ResourceLimitError(f"grid of {_shown(k + 1)}**{ev.dimension} worlds"
-                                 f" exceeds the budget of {max_points}")
+    steps = _grid_steps(k, scale, ev.dimension, max_points)
     return all(map(_region(ev, f, scale), itertools.product(steps, repeat=ev.dimension)))
 
 

@@ -195,6 +195,8 @@ class Atom(OuterFormula):
     content: Union[GradedImplication, GradedVariable]
 
     def __post_init__(self):
+        if not isinstance(self.content, (GradedImplication, GradedVariable)):
+            raise TypeError(f"not an atom content: {self.content!r}")
         object.__setattr__(self, "_kind", isinstance(self.content, GradedImplication))
 
 

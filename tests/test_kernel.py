@@ -322,6 +322,65 @@ class TestSchemaRejection:
         assert match_axiom(bad) is None
 
 
+def _associate(rng: random.Random, parts: list):
+    """The conjunction of ``parts`` in their order, bracketed at random."""
+    parts = list(parts)
+    while len(parts) > 1:
+        i = rng.randrange(len(parts) - 1)
+        parts[i:i + 2] = [OAnd(parts[i], parts[i + 1])]
+    return parts[0]
+
+
+ANTS = tuple(Var(f"a{i}") for i in range(6))
+MIDS = tuple(Var(f"m{i}") for i in range(6))
+GOAL, EXTRA = Var("g"), Var("x")
+
+
+def _mean_case(schema: str, cs: list, d: Fraction) -> tuple:
+    """(steps, other, grade) for the mean schema over ``len(cs)`` antecedents
+    a0, a1, ... and the goal g: the step premises as (ant, cons, grade), the
+    one other premise, and the conclusion grade, by this file's own
+    Lukasiewicz arithmetic."""
+    n = len(cs)
+    if schema == "mean_trans1":
+        steps = list(zip(ANTS, MIDS, cs))
+        other = Atom(GradedImplication(MIDS[:n], GOAL, d))
+        return steps, other, max(Fraction(0), sum(cs) / n + d - 1)
+    if schema == "mean_trans2":
+        other = Atom(GradedImplication(ANTS[:n], MIDS[0], cs[0]))
+        return [(MIDS[0], GOAL, d)], other, max(Fraction(0), cs[0] + d - 1)
+    steps = [(a, Bottom(), c) for a, c in zip(ANTS, cs)]
+    return steps, Atom(gi(Top(), GOAL, d)), min(Fraction(1), sum(cs) / n + d)
+
+
+class TestMeanSchemasAtEveryArity:
+    """Each mean schema at arities 1..6, its premises in every order and a
+    random association: the instance is accepted, a conclusion grade one
+    step off is refused, and so is the instance with one step premise
+    given a second antecedent."""
+
+    @pytest.mark.parametrize("schema", ["mean_trans1", "mean_trans2", "mean_trans3"])
+    def test_every_arity_and_premise_order(self, schema):
+        rng = random.Random(f"mean-arity:{schema}")
+        for n in range(1, 7):
+            cs = [Fraction(rng.randint(0, 12), 12) for _ in range(n)]
+            steps, other, grade = _mean_case(schema, cs, Fraction(rng.randint(0, 12), 12))
+            premises = [Atom(gi(a, b, c)) for a, b, c in steps] + [other]
+            (a, b, c), rest = steps[0], premises[1:]
+            wide = [Atom(GradedImplication((a, EXTRA), b, c))] + rest
+            step = Fraction(1, 12 * n)
+            for order in itertools.permutations(range(len(premises))):
+                def arrow(parts, g):
+                    prem = _associate(rng, [parts[i] for i in order])
+                    return outer_implies(prem, Atom(GradedImplication(ANTS[:n], GOAL, g)))
+
+                assert match_schema(arrow(premises, grade), schema) == schema
+                for off in (grade - step, grade + step):
+                    if 0 <= off <= 1:
+                        assert match_schema(arrow(premises, off), schema) is None
+                assert match_schema(arrow(wide, grade), schema) is None
+
+
 class TestSchemaSoundness:
     """Every recognised instance must hold under every evaluation."""
 

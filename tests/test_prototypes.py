@@ -432,6 +432,19 @@ class TestRegions:
         assert str(refused.value) == (f"grid of {2**64 + 1}**2 worlds"
                                       " exceeds the budget of 5000000")
 
+    def test_grid_worlds_has_the_grid_budget(self):
+        # refused before any world or coordinate is built
+        for n, k, shown in ((30, 4, "5**30"), (1, 10**5000, "<int of 16610 bits>**1"),
+                            (10**30, 1, f"2**{10**30}")):
+            with pytest.raises(ResourceLimitError) as refused:
+                grid_worlds(n, k)
+            assert str(refused.value) == f"grid of {shown} worlds exceeds the budget of 5000000"
+
+    def test_grid_worlds_of_no_dimension_builds_no_coordinates(self):
+        assert list(grid_worlds(0, 10**5000)) == [()]
+        with pytest.raises(ValueError, match="grid denominator must be at least 1"):
+            grid_worlds(0, 0)
+
 
 class TestCanonicalEvaluation:
     def test_disorder_degree_is_the_mean(self):

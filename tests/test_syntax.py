@@ -425,6 +425,15 @@ class TestAtomKind:
             with pytest.raises(TypeError, match="not an outer formula"):
                 build()
 
+    @pytest.mark.parametrize("bad", [Var("p"), And(Var("p"), Var("q")), None, "p ->[1] q",
+                                     Atom(gi(Var("p"), Var("q"), 1))],
+                             ids=("variable", "basic", "none", "text", "atom"))
+    def test_atom_holds_an_implication_or_a_graded_variable(self, bad):
+        # else Atom(Var("p")) would render as "p", which does not parse,
+        # and Atom(None) would build but fail to render
+        with pytest.raises(TypeError, match="^not an atom content: "):
+            Atom(bad)
+
 
 def _nested(shape: str, depth: int) -> str:
     """A formula whose deepest point sits under ``depth`` nesting levels."""
