@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import re
 import sys
@@ -137,8 +138,9 @@ def _cmd_check_proof(args) -> int:
 
 def _degree_rows(ev, k):
     disorder = next(iter(ev.dependent))
-    for w in grid_worlds(ev.dimension, k):
-        yield [str(c) for c in w] + [str(degree(ev, disorder, w))]
+    texts = itertools.product([str(c) for c, in grid_worlds(1, k)], repeat=ev.dimension)
+    for w, text in zip(grid_worlds(ev.dimension, k), texts):
+        yield [*text, str(degree(ev, disorder, w))]
 
 
 def _cmd_qcheck(args) -> int:

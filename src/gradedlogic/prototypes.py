@@ -27,12 +27,14 @@ Arithmetic runs on integers: worlds and points are scaled by the lcm L of
 their denominators, and a distance or degree becomes one Fraction at the
 end.  ``_region`` compiles a formula once, in one walk, into a test of
 scaled worlds, so the grid check builds no Fraction per world and refuses
-unbound variables and implication atoms before the first world.
+unbound variables and implication atoms before the first world.  An atom at
+grade 1 is d(w, prototypes) == 0 and one at grade 0 d(w, counterexamples) == 0.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -64,15 +66,17 @@ def _lattice(w, n: int, denominator: int) -> tuple:
     ``w``'s denominators: the one place a world becomes ints and is checked."""
     if len(w) != n:
         raise ValueError(f"world of dimension {len(w)}, not {n}")
-    dens = []
+    nums, dens = [], []
     for c in w:
         if type(c) not in _EXACT:
             raise TypeError(f"world coordinate {_shown(c)} is not an int or a Fraction")
-        if not 0 <= c.numerator <= (v := c.denominator):
+        u, v = c.as_integer_ratio()
+        if not 0 <= u <= v:
             raise ValueError(f"world coordinate {_shown(c, str)} outside [0, 1]")
+        nums.append(u)
         dens.append(v)
     scale = lcm(denominator, *dens)
-    return scale, tuple(c.numerator * (scale // v) for c, v in zip(w, dens))
+    return scale, tuple([u * (scale // v) for u, v in zip(nums, dens)])
 
 
 def l1_distance(w: World, u: World) -> Fraction:
@@ -146,8 +150,10 @@ def _scaled_distance(s: PointSet, scale: int) -> Callable[[tuple], int]:
         i, v = s.index, s.value.numerator * scale
         return lambda x: abs(x[i] - v)
     m = scale // s.denominator
-    points = [[c * m for c in p] for p in s._ints]
-    return lambda x: min(sum(map(abs, map(sub, x, p))) for p in points)
+    p, *more = points = [[c * m for c in q] for q in s._ints]
+    if not more:
+        return lambda x: sum(map(abs, map(sub, x, p)))
+    return lambda x: min(sum(map(abs, map(sub, x, q))) for q in points)
 
 
 def set_distance(w: World, s: PointSet) -> Fraction:
@@ -256,14 +262,18 @@ def degree(ev: QEvaluation, var: str, w: World) -> Grade:
 def _region(ev: QEvaluation, f: OuterFormula, scale: int) -> Callable[[tuple], bool]:
     """Compile ``f`` to a membership test of worlds given as ints at ``scale``,
     a multiple of ``ev.denominator``.  Unbound variables and graded-implication
-    atoms raise here, left to right, before any world is visited."""
+    atoms raise here, left to right, before any world is visited.  An atom at
+    u / v tests dc * v == u * (dp + dc), exactly dp == 0 if u = v, dc == 0 if u = 0."""
     if isinstance(f, Atom):
         q = f.content
         if not isinstance(q, GradedVariable):
             raise AtomKindError("graded-implication atoms have no region semantics")
         to_protos, to_counters = _distances(ev, q.var, scale)
         u, v = q.grade.numerator, q.grade.denominator
-        # the degree dc / (dp + dc) equals the grade u / v
+        if u == v:
+            return lambda x: to_protos(x) == 0
+        if u == 0:
+            return lambda x: to_counters(x) == 0
         return lambda x: (dc := to_counters(x)) * v == u * (to_protos(x) + dc)
     if isinstance(f, ONot):
         operand = _region(ev, f.operand, scale)
@@ -298,6 +308,8 @@ def grid_worlds(n: int, k: int) -> Iterable[World]:
     """All worlds of [0,1]^n with coordinates on the k-denominator grid;
     ResourceLimitError past ``DEFAULT_GRID_BUDGET`` worlds."""
     _grid_sizes(n=n, k=k)
+    if n < 0:
+        raise ValueError("dimension must be at least 0")
     steps = _grid_steps(k, k, n, DEFAULT_GRID_BUDGET)
     return itertools.product([Fraction(i, k) for i in steps] if n > 0 else (), repeat=n)
 
@@ -325,6 +337,8 @@ def canonical_disorder_eval(
     corner, which makes its degree the arithmetic mean of the coordinates."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
+    if n > sys.maxsize:
+        raise ValueError(f"dimension {_shown(n)} exceeds sys.maxsize")
     items = tuple(f"phi{i + 1}" for i in range(n)) if items is None else tuple(items)
     if len(items) != n:
         raise ValueError(f"expected {n} item names, got {len(items)}")

@@ -6,6 +6,7 @@ import codecs
 import csv
 import gc
 import hashlib
+import itertools
 import json
 import time
 import weakref
@@ -611,6 +612,19 @@ class TestQcheckCommand:
         assert (code, out) == (2, "")
         assert err == ("error: grid of 100000000000000000001**2 worlds"
                        " exceeds the budget of 5000000\n")
+
+    def test_dump_rows_are_the_grid_worlds_in_order(self, theory_file, capsys):
+        steps = [Fraction(i, 3) for i in range(4)]
+        expected = [[str(a), str(b), str((a + b) / 2)] for a, b in itertools.product(steps, steps)]
+        code, out, _ = run(
+            capsys, "qcheck", "--theory", theory_file, "--dim", "2", "--grid", "3"
+        )
+        assert code == 0
+        assert list(csv.reader(out.splitlines()[2:])) == expected
+        code, out, _ = run(
+            capsys, "qcheck", "--json", "--theory", theory_file, "--dim", "2", "--grid", "3"
+        )
+        assert (code, json.loads(out)["rows"]) == (0, expected)
 
     def test_grid_checked_before_recognition(self, capsys, tmp_path):
         path = tmp_path / "other.lgi"

@@ -7,6 +7,7 @@ import itertools
 import math
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -445,6 +446,15 @@ class TestRegions:
         with pytest.raises(ValueError, match="grid denominator must be at least 1"):
             grid_worlds(0, 0)
 
+    def test_grid_worlds_refuses_a_negative_dimension_before_the_budget(self):
+        # (k + 1) ** n of a negative n is a float, which overflows for a huge k
+        with pytest.raises(ValueError, match="^dimension must be at least 0$"):
+            grid_worlds(-3, 10**400)
+
+    def test_grid_worlds_refuses_a_negative_dimension_itself(self):
+        with pytest.raises(ValueError, match="^dimension must be at least 0$"):
+            grid_worlds(-1, 2)
+
 
 class TestCanonicalEvaluation:
     def test_disorder_degree_is_the_mean(self):
@@ -463,6 +473,14 @@ class TestCanonicalEvaluation:
             canonical_disorder_eval(2, "d", items=["a"])
         with pytest.raises(ValueError):
             canonical_disorder_eval(0, "d")
+
+    def test_dimension_past_a_machine_word_is_refused_before_any_name(self):
+        # item names come from range(n), which would run until memory is gone
+        for n, shown in ((10**5000, "<int of 16610 bits>"),
+                         (sys.maxsize + 1, str(sys.maxsize + 1))):
+            with pytest.raises(ValueError) as refused:
+                canonical_disorder_eval(n, "d")
+            assert str(refused.value) == f"dimension {shown} exceeds sys.maxsize"
 
 
 def bicond(a, b):
@@ -681,6 +699,67 @@ class TestLatticeDifferential:
             assert satisfied_on_grid(ev, f, k) == expected, (ev, f, k)
         assert min(verdicts.values()) >= 40, verdicts
         assert min(members.values()) >= 500, members
+
+
+def _set_kind(s) -> str:
+    if isinstance(s, Face):
+        return "face"
+    return "one point" if len(s.points) == 1 else "several points"
+
+
+def _same_kind_pair(rng, n, k, kind) -> PCPair:
+    """A prototype/counterexample pair whose two sets are both of ``kind``."""
+    while True:
+        if kind == "face":
+            i, v = rng.randrange(n), rng.randint(0, 1)
+            sets = (Face(i, F(v)), Face(i, F(1 - v)))
+        else:
+            size = 1 if kind == "one point" else rng.randint(2, 3)
+            sets = [FiniteSet(tuple(tuple(_coprime_coordinate(rng, k) for _ in range(n))
+                                    for _ in range(size))) for _ in range(2)]
+        try:
+            return PCPair(*sets)
+        except ValueError:  # the two sets touch; draw again
+            continue
+
+
+def _world_near(rng, s, n, k) -> tuple:
+    """A member of ``s`` about half the time, else a world drawn as
+    ``_coprime_coordinate`` draws."""
+    w = [_coprime_coordinate(rng, k) for _ in range(n)]
+    if rng.random() < 0.5:
+        if isinstance(s, Face):
+            w[s.index] = s.value
+        else:
+            w = list(rng.choice(s.points))
+    return tuple(w)
+
+
+class TestCornerGradeDifferential:
+    """Atoms at grade 0 and 1, which test one distance, and one-point sets,
+    whose distance takes no minimum, against the Fraction oracle."""
+
+    def test_against_fraction_oracle(self):
+        rng = random.Random(2707)
+        cells = collections.Counter()
+        for _ in range(300):
+            n, k = rng.randint(1, 3), rng.randint(1, 5)
+            pair = _same_kind_pair(rng, n, k, rng.choice(("face", "one point", "several points")))
+            ev = QEvaluation(tuple(f"x{i}" for i in range(n)), {"d": pair})
+            for grade, s in ((F(1), pair.protos), (F(0), pair.counters)):
+                atom = qv("d", grade)
+                for _ in range(6):
+                    w = _world_near(rng, s, n, k)
+                    inside = _oracle_region(ev, atom, w)
+                    assert inside == (_oracle_distance(w, s) == 0)
+                    assert in_region(ev, atom, w) == inside, (pair, grade, w)
+                    assert set_distance(w, s) == _oracle_distance(w, s)
+                    assert degree(ev, "d", w) == _oracle_degree(ev, "d", w)
+                    cells[grade, _set_kind(s), inside] += 1
+                # the same test compiled at the grid's scale
+                expected = not any(_oracle_region(ev, atom, w) for w in _oracle_grid(n, k))
+                assert satisfied_on_grid(ev, ONot(atom), k) == expected, (pair, grade, k)
+        assert len(cells) == 12 and min(cells.values()) >= 100, cells
 
 
 # ---------------------------------------------------------------------------
