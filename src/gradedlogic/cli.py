@@ -12,6 +12,7 @@ keys, exact "p/q" degree strings), byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
@@ -156,25 +157,27 @@ def _cmd_qcheck(args) -> int:
             "outside supported pattern",
         )
         return 1
-    table = [list(ev.basic) + ["degree"], *_degree_rows(ev, args.grid)]
-    if args.csv_out:
-        with open(args.csv_out, "w", encoding="utf-8", newline="") as handle:
-            csv.writer(handle).writerows(table)
-    if args.json:
-        payload = {
-            "correct": True,
-            "dimension": args.dim,
-            "grid": args.grid,
-            "columns": table[0],
-            "rows": table[1:],
-        }
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(f"correct: canonical evaluation over {', '.join(ev.basic)}")
-        if args.csv_out:
-            print(f"degree dump written to {args.csv_out}")
+    header = [*ev.basic, "degree"]
+    with (open(args.csv_out, "w", encoding="utf-8", newline="") if args.csv_out
+          else contextlib.nullcontext(None if args.json else sys.stdout)) as handle:
+        table = csv.writer(handle) if handle else None
+        if args.json:  # "rows" sorts last: the payload is its head, the rows and "]}"
+            head = json.dumps({"correct": True, "dimension": args.dim, "grid": args.grid,
+                               "columns": header, "rows": []}, sort_keys=True)
+            sys.stdout.write(head[:-2])
         else:
-            csv.writer(sys.stdout).writerows(table)
+            print(f"correct: canonical evaluation over {', '.join(ev.basic)}")
+        if table:
+            table.writerow(header)
+        for i, row in enumerate(_degree_rows(ev, args.grid)):  # one pass feeds both outputs
+            if table:
+                table.writerow(row)
+            if args.json:  # fraction texts, which JSON writes without escapes
+                sys.stdout.write((', ["' if i else '["') + '", "'.join(row) + '"]')
+    if args.json:
+        print("]}")
+    elif args.csv_out:
+        print(f"degree dump written to {args.csv_out}")
     return 0
 
 

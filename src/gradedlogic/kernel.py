@@ -321,19 +321,17 @@ _SCHEMAS = {
 SCHEMA_NAMES = tuple(_SCHEMAS)
 
 
-def _apply(schema: str, views: dict, kind: TNormKind) -> bool:
-    view, condition = _SCHEMAS[schema]
-    parts = views[view]
-    return parts is not None and condition(*parts, kind)
-
-
 def match_axiom(f: OuterFormula,
                 kind: TNormKind = TNormKind.LUKASIEWICZ) -> Optional[str]:
     """First schema (in catalogue order) that ``f`` instantiates; None when
     no schema applies."""
     views = _views(f)
     kind = TNormKind(kind)
-    return next((name for name in _SCHEMAS if _apply(name, views, kind)), None)
+    for name, (view, condition) in _SCHEMAS.items():
+        parts = views[view]
+        if parts is not None and condition(*parts, kind):
+            return name
+    return None
 
 
 def match_schema(f: OuterFormula, schema: str,
@@ -341,7 +339,9 @@ def match_schema(f: OuterFormula, schema: str,
     """``schema`` when ``f`` instantiates that one named schema, else None."""
     if schema not in _SCHEMAS:
         raise ValueError(f"unknown axiom schema {_shown(schema)}")
-    return schema if _apply(schema, _views(f), TNormKind(kind)) else None
+    view, condition = _SCHEMAS[schema]
+    parts = _views(f)[view]
+    return schema if parts is not None and condition(*parts, TNormKind(kind)) else None
 
 
 # ---------------------------------------------------------------------------
@@ -615,15 +615,15 @@ def build_score_derivation(
     The resulting proof's final two lines are ``top ->[d] delta`` and
     ``delta ->[1-d] bot`` with d the mean of the answers.  The route goes
     through the mean-transitivity schema and its top-collapse companion on
-    each side; the negated side needs two bridging lemmas (``top ->[1] ~bot``
-    and ``~top ->[1] bot``) plus negation rotations, each built from schema
-    instances so the whole proof is kernel-checkable.
+    each side.  The negated side means the ceilings as ``~bot ->[1-c] ~item``
+    lines, lifts every ``~bot`` to ``top`` with n copies of ``top ->[1] ~bot``
+    (about log2 n lines, equal conjunctions being one line), and goes back
+    onto delta through ``~top ->[1] bot``; all from schema instances.
     """
     if len(answers) != n:
         raise ValueError(f"expected {n} answers, got {len(answers)}")
     theory = score_theory(answers, items, disorder)
-    lower_f = theory[0].content
-    delta = lower_f.consequent
+    delta = theory[0].content.consequent
     d = mean(floor.content.grade for floor in theory[2:2 + n])
     b = ProofBuilder(theory, kind)
     tops = (Top(),) * n
@@ -631,28 +631,22 @@ def build_score_derivation(
     # Lower bound: mean the item floors through the first theory implication.
     floor_idx = [b.hyp(2 + i) for i in range(n)]
     all_low = b.conjoin_all(floor_idx + [b.hyp(0)])
-    spread_low = Atom(GradedImplication(tops, delta, d))
-    if n == 1:
-        pending_low = (all_low, b.axiom(outer_implies(b.formula(all_low), spread_low)))
-    else:
-        mid = b.infer(all_low, spread_low)
-        pending_low = (mid, b.axiom(outer_implies(spread_low, _unit(Top(), delta, d))))
+    mid = all_low if n == 1 else b.infer(all_low, Atom(GradedImplication(tops, delta, d)))
+    pending_low = (mid, b.axiom(outer_implies(b.formula(mid), _unit(Top(), delta, d))))
 
     # Bridging lemmas.
     lemma_a = _derive_top_to_negbot(b)
     lemma_b = _derive_negtop_to_bot(b)
 
-    # Upper bound: rotate each ceiling fact to top ->[1-c] ~item, mean them
-    # through the negated theory implication, then rotate back onto delta.
-    rotated = []
-    for i in range(n):
-        ceil_f = theory[2 + n + i].content
-        neg_item = Neg(ceil_f.antecedents[0])
-        via_negbot = b.infer(b.hyp(2 + n + i), _unit(Neg(Bottom()), neg_item, ceil_f.grade))
-        pair = b.conjoin(lemma_a, via_negbot)
-        rotated.append(b.infer(pair, _unit(Top(), neg_item, ceil_f.grade)))
+    # Upper bound: rotate each ceiling to ~bot ->[1-c] ~item, mean them through
+    # the negated theory implication, lift all ~bot to top, rotate onto delta.
+    ceils = [f.content for f in theory[2 + n:]]
+    rotated = [b.infer(b.hyp(2 + n + i), _unit(Neg(Bottom()), Neg(c.antecedents[0]), c.grade))
+               for i, c in enumerate(ceils)]
     all_up = b.conjoin_all(rotated + [b.hyp(1)])
-    mid_up = b.infer(all_up, Atom(GradedImplication(tops, Neg(delta), negate(d))))
+    mid_up = b.infer(all_up, Atom(GradedImplication((Neg(Bottom()),) * n, Neg(delta), negate(d))))
+    lifted = b.conjoin_all([lemma_a] * n + [mid_up])
+    mid_up = b.infer(lifted, Atom(GradedImplication(tops, Neg(delta), negate(d))))
     if n > 1:
         mid_up = b.infer(mid_up, _unit(Top(), Neg(delta), negate(d)))
 
@@ -661,9 +655,7 @@ def build_score_derivation(
     pair = b.conjoin(undouble, doubled)
     at_negtop = b.infer(pair, _unit(delta, Neg(Top()), negate(d)))
     last_pair = b.conjoin(at_negtop, lemma_b)
-    final_ax = b.axiom(
-        outer_implies(b.formula(last_pair), _unit(delta, Bottom(), negate(d)))
-    )
+    final_ax = b.axiom(outer_implies(b.formula(last_pair), _unit(delta, Bottom(), negate(d))))
 
     # Fire the two pending conclusions so they land as the final two lines.
     b.mp(*pending_low)

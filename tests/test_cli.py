@@ -8,6 +8,9 @@ import gc
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
 import weakref
 from fractions import Fraction
@@ -16,10 +19,17 @@ from pathlib import Path
 import pytest
 
 from gradedlogic import (
+    Atom,
     AtomKindError,
+    GradedVariable,
+    Neg,
+    OAnd,
+    Top,
     UnboundVariableError,
     build_score_derivation,
     check_proof,
+    gi,
+    outer_implies,
     parse_proof_script,
     parse_theory,
     proof_to_json_lines,
@@ -493,6 +503,27 @@ class TestOlderProofFiles:
         assert (code, out) == (0, "accepted\n")
 
 
+class TestPerItemRotationScoreProofs:
+    """Score proofs written when each ceiling was rotated to ``top ->[c]
+    ~item`` on its own, with balanced conjunctions (the pinned n = 4 and
+    n = 9 derivations), still check in the library and through the CLI."""
+
+    @pytest.mark.parametrize("n", [4, 9])
+    def test_accepted_by_library_and_cli(self, n, capsys):
+        theory_path = FIXTURES / f"score_n{n}.lgi"
+        proof_path = FIXTURES / f"score_rotated_n{n}.proof.jsonl"
+        theory = parse_theory(theory_path.read_text(encoding="utf-8"))
+        proof = parse_proof_script(proof_path.read_text(encoding="utf-8"), theory)
+        assert check_proof(theory, proof).accepted
+        formulas = {line.formula for line in proof.lines}
+        for ceiling in (f.content for f in theory[2 + n:]):
+            rotated = Atom(gi(Top(), Neg(ceiling.antecedents[0]), ceiling.grade))
+            assert rotated in formulas
+        code, out, _ = run(capsys, "check-proof", "--theory", str(theory_path),
+                           "--proof", str(proof_path))
+        assert (code, out) == (0, "accepted\n")
+
+
 def _malformed_inputs(tmp_path, case):
     """argv for a command whose input only a parser's own limit can refuse."""
     spec = tmp_path / "spec.json"
@@ -528,6 +559,29 @@ CANONICAL_THEORY = """\
 ((!((d, 1)) \\/ ((p1, 1) /\\ (p2, 1))) /\\ (!(((p1, 1) /\\ (p2, 1))) \\/ (d, 1)))
 ((!((d, 0)) \\/ ((p1, 0) /\\ (p2, 0))) /\\ (!(((p1, 0) /\\ (p2, 0))) \\/ (d, 0)))
 """
+
+
+# Runs argv and prints its peak RSS in KiB (Linux).  A child's peak counts
+# the memory of the process it was forked from, so a small process forks it.
+_PEAK_RSS = """
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+child.returncode = os.waitstatus_to_exitcode(status)
+if child.returncode:
+    sys.exit(child.returncode)
+print(usage.ru_maxrss)
+"""
+
+
+def _canonical_member(dim, level):
+    """The member of the canonical disorder theory over items m0..m<dim-1>
+    and disorder d that states ``(d, level)`` iff every item is at ``level``."""
+    conj = Atom(GradedVariable("m0", level))
+    for i in range(1, dim):
+        conj = OAnd(conj, Atom(GradedVariable(f"m{i}", level)))
+    solo = Atom(GradedVariable("d", level))
+    return OAnd(outer_implies(solo, conj), outer_implies(conj, solo))
 
 
 class TestQcheckCommand:
@@ -625,6 +679,24 @@ class TestQcheckCommand:
             capsys, "qcheck", "--json", "--theory", theory_file, "--dim", "2", "--grid", "3"
         )
         assert (code, json.loads(out)["rows"]) == (0, expected)
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["csv", "json"])
+    def test_dump_is_written_as_it_is_made(self, tmp_path, flags):
+        # Peak RSS of the dump over 5**7 worlds stays within 8 MB of the one
+        # over 5**2 worlds, in each output mode.
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        peaks = []
+        for dim in (2, 7):
+            path = tmp_path / f"canonical{dim}.lgi"
+            path.write_text("".join(f"{render(_canonical_member(dim, level))}\n"
+                                    for level in (1, 0)), encoding="utf-8")
+            argv = [sys.executable, "-m", "gradedlogic", "qcheck", "--theory", str(path),
+                    "--dim", str(dim), "--grid", "4", *flags]
+            child = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], env=env,
+                                   capture_output=True, text=True, timeout=120)
+            assert child.returncode == 0, child.stderr
+            peaks.append(int(child.stdout) / 1024)
+        assert peaks[1] - peaks[0] <= 8, peaks
 
     def test_grid_checked_before_recognition(self, capsys, tmp_path):
         path = tmp_path / "other.lgi"
@@ -1022,8 +1094,8 @@ PINNED_STDOUT = [
     (["check-proof", "--theory", "score.lgi", "--proof", "score.jsonl"], 0,
      "accepted\n", '{"accepted": true}\n'),
     (["check-proof", "--theory", "score.lgi", "--proof", "tampered.jsonl"], 1,
-     f"rejected at line 70: {PINNED_REJECTION}\n",
-     f'{{"accepted": false, "line": 70, "reason": "{PINNED_REJECTION}"}}\n'),
+     f"rejected at line 68: {PINNED_REJECTION}\n",
+     f'{{"accepted": false, "line": 68, "reason": "{PINNED_REJECTION}"}}\n'),
     (["qcheck", "--theory", "disorder.lgi", "--dim", "2", "--grid", "2"], 0,
      "correct: canonical evaluation over p1, p2\n" + PINNED_DEGREES,
      PINNED_DEGREES_JSON),
@@ -1083,9 +1155,9 @@ class TestPinnedCliBytes:
         assert Path("reports.jsonl").read_bytes() == PINNED_REPORTS.encode()
         digests = {
             "reports.alice.proof.jsonl":
-                "1cd76195ea30f68e14d6ea99b149e8e39b24aa2b038fbc37e50e137dead1af76",
+                "e4efc3eb2918ef9ca21d8acab60cb3aea0a86a0884d80748c0648569c9980cc4",
             "reports.bob.proof.jsonl":
-                "4cbc4b43c6bcde11067b6931daa127a5afad0bbae1988e75b3e7a539afc62653",
+                "3efc444a6c28e52110867079c661b29bb72357de0c1dfb28691ed698d2f55646",
         }
         for name, digest in digests.items():
             assert hashlib.sha256(Path(name).read_bytes()).hexdigest() == digest

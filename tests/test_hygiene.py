@@ -196,7 +196,7 @@ def test_every_schema_view_exists():
 
 
 # ``wc -l src/gradedlogic/*.py``; it grows only for a feature that needs it.
-SOURCE_LINE_BUDGET = 2_966
+SOURCE_LINE_BUDGET = 2_965
 
 
 def test_source_line_budget():

@@ -202,11 +202,11 @@ class TestPinnedOutputs:
         assert match_schema(f, schema) == schema
 
     @pytest.mark.parametrize("answers, digest", [
-        ("2/3", "ab6b958e69897274562bfbda7ac2a319193c68e272775fd4b057e86e67fe3b68"),
+        ("2/3", "57ed3b647dedacfc29d7a277e50b5fb2ab468c63bce3cc5aca2e1326c527e73b"),
         ("1 3/4 1/2 1/4",
-         "253d6d8b88e8b372419fbc39ab8038e924f6ee1ab878b3ef725056d6ceefbfd8"),
+         "75c06ab6a03bbf9db718f7591ea7e2e30041b686f762d971b038988e25ea644d"),
         ("0 1/4 1/2 3/4 1 0 1/4 1/2 3/4",
-         "845c7f5b9b97c935db0231be10c0a88785e43ee79417127e3a2cda752beef503"),
+         "c09a8344f43d95a12cd17d11ee962ca7db75f1bca88d4aed1b85314bb50e3663"),
     ], ids=["n1", "n4", "n9"])
     def test_score_derivation_bytes(self, answers, digest):
         grades = [Fraction(a) for a in answers.split()]
@@ -1060,6 +1060,25 @@ class TestScoreDerivation:
         d = mean(answers)
         assert again.lines[-2].formula == Atom(gi(Top(), Var("delta"), d))
         assert again.lines[-1].formula == Atom(gi(Var("delta"), Bottom(), negate(d)))
+
+    def test_every_size_up_to_64_under_every_tnorm(self):
+        # The ceilings are lifted to top once, not each on its own, so no
+        # proof is longer than the per-item rotation's 15 n + 41 lines (52
+        # at n = 1), and the last two lines stay the two score bounds.
+        rng = random.Random(4403)
+        for kind in ALL_KINDS:
+            for n in range(1, 65):
+                answers = [Fraction(rng.randint(0, 4), 4) for _ in range(n)]
+                proof = build_score_derivation(n, answers, kind=kind)
+                assert check_proof(proof.theory, proof, kind).accepted, (kind, n)
+                d = mean(answers)
+                assert [line.formula for line in proof.lines[-2:]] == [
+                    Atom(gi(Top(), Var("delta"), d)), Atom(gi(Var("delta"), Bottom(), negate(d)))]
+                assert len(proof.lines) <= (15 * n + 41 if n > 1 else 52), (kind, n)
+
+    def test_thousand_items_take_about_ten_lines_each(self):
+        answers = [Fraction(7 * i % 5, 4) for i in range(1000)]
+        assert len(build_score_derivation(1000, answers).lines) <= 10_100
 
     def test_balanced_conjunction_keeps_order(self):
         theory = tuple(Atom(gi(Top(), Var(f"v{i}"), Fraction(i, 7))) for i in range(7))
