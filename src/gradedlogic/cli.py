@@ -169,11 +169,13 @@ def _cmd_qcheck(args) -> int:
             print(f"correct: canonical evaluation over {', '.join(ev.basic)}")
         if table:
             table.writerow(header)
-        for i, row in enumerate(_degree_rows(ev, args.grid)):  # one pass feeds both outputs
+        rows, sep = _degree_rows(ev, args.grid), ""
+        while chunk := list(itertools.islice(rows, 4096)):  # one pass feeds both outputs
             if table:
-                table.writerow(row)
-            if args.json:  # fraction texts, which JSON writes without escapes
-                sys.stdout.write((', ["' if i else '["') + '", "'.join(row) + '"]')
+                table.writerows(chunk)
+            if args.json:  # the chunk's rows, without the list's own brackets
+                sys.stdout.write(sep + json.dumps(chunk)[1:-1])
+                sep = ", "
     if args.json:
         print("]}")
     elif args.csv_out:

@@ -321,17 +321,21 @@ _SCHEMAS = {
 SCHEMA_NAMES = tuple(_SCHEMAS)
 
 
-def match_axiom(f: OuterFormula,
-                kind: TNormKind = TNormKind.LUKASIEWICZ) -> Optional[str]:
-    """First schema (in catalogue order) that ``f`` instantiates; None when
-    no schema applies."""
-    views = _views(f)
-    kind = TNormKind(kind)
-    for name, (view, condition) in _SCHEMAS.items():
+def _first(entries, f: OuterFormula, kind) -> Optional[str]:
+    """First name of ``entries`` (``(name, (view, condition))``) ``f`` instantiates."""
+    views, kind = _views(f), TNormKind(kind)
+    for name, (view, condition) in entries:
         parts = views[view]
         if parts is not None and condition(*parts, kind):
             return name
     return None
+
+
+def match_axiom(f: OuterFormula,
+                kind: TNormKind = TNormKind.LUKASIEWICZ) -> Optional[str]:
+    """First schema (in catalogue order) that ``f`` instantiates; None when
+    no schema applies."""
+    return _first(_SCHEMAS.items(), f, kind)
 
 
 def match_schema(f: OuterFormula, schema: str,
@@ -339,9 +343,7 @@ def match_schema(f: OuterFormula, schema: str,
     """``schema`` when ``f`` instantiates that one named schema, else None."""
     if schema not in _SCHEMAS:
         raise ValueError(f"unknown axiom schema {_shown(schema)}")
-    view, condition = _SCHEMAS[schema]
-    parts = _views(f)[view]
-    return schema if parts is not None and condition(*parts, TNormKind(kind)) else None
+    return _first(((schema, _SCHEMAS[schema]),), f, kind)
 
 
 # ---------------------------------------------------------------------------

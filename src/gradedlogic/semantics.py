@@ -154,15 +154,12 @@ def _search(members, formula, ordered: Sequence[str], ranges: Sequence[range],
     found by one generated function; see ``find_countermodel``."""
     index = {name: i for i, name in enumerate(ordered)}
     body = [[] for _ in range(min(len(ordered), _LOOPS) + 1)]  # body[d + 1] runs in loop d
-    consts, folded, memo, fresh = {}, {}, {}, itertools.count()
+    consts, memo, fresh = {}, {}, itertools.count()
 
     def k(value) -> str:
         return consts.setdefault(value, f"k{len(consts)}")
 
     def lift(name: str, factor: int) -> str:
-        """``name`` times ``factor``; a lifted ``top`` or ``bot`` is one constant."""
-        if name in folded:
-            return k(folded[name] * factor)
         return name if factor == 1 else f"{k(factor)} * {name}"
 
     def emit(d: int, text: str, scale=None) -> tuple:
@@ -180,7 +177,6 @@ def _search(members, formula, ordered: Sequence[str], ranges: Sequence[range],
             got = f"x{index[e.name]}", m, min(index[e.name], _LOOPS - 1)
         elif isinstance(e, (Top, Bottom)):
             got = k(int(isinstance(e, Top))), 1, -1
-            folded[got[0]] = int(isinstance(e, Top))
         elif isinstance(e, Neg):
             name, s, d = term(e.expr)
             got = emit(d, f"{k(s)} - {name}", s)

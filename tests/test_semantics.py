@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import re
 from fractions import Fraction
 
 import pytest
@@ -596,25 +595,6 @@ class TestGeneratedSearch:
         assert find_countermodel(theory, goal, 2).values == expected
         goal = Atom(GradedImplication(tuple(ants), Top(), 1))
         assert find_countermodel(theory, goal, 2) is None
-
-
-    def test_lifted_constants_are_folded(self, monkeypatch):
-        # A top or bot lifted to a wider scale is one passed-in constant,
-        # not a product of two constants recomputed at every grid point.
-        sources = []
-
-        def spy(source, namespace):
-            sources.append(source)
-            exec(source, namespace)
-
-        monkeypatch.setattr(semantics, "exec", spy, raising=False)
-        theory = (parse_formula("(p & top) ->[3/4] ~q"), parse_formula("top, p ->[1/2] q"))
-        for goal in map(parse_formula, ("q ->[1] p", "(p | bot), top ->[1/3] (q * top)")):
-            for kind in (LUK, PROD, MIN):
-                got = find_countermodel(theory, goal, 6, kind)
-                assert (got and got.values) == _oracle_countermodel(theory, goal, 6, kind)
-        assert len(sources) == 6
-        assert [s for s in sources if re.search(r"\bk\d+ \* k\d+\b", s)] == []
 
 
 def _score_case(answers, goal):
