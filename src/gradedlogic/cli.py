@@ -24,6 +24,7 @@ from pathlib import Path
 from .errors import ResourceLimitError
 from .grades import TNormKind, as_grade
 from .kernel import (
+    Verdict,
     check_proof,
     parse_proof_script,
     proof_to_json_lines,
@@ -128,9 +129,14 @@ def _cmd_entail(args) -> int:
 
 
 def _cmd_check_proof(args) -> int:
+    goals = [parse_formula(goal) for goal in args.goal or ()]
     theory = parse_theory(_read(args.theory))
     proof = parse_proof_script(_read(args.proof), theory)
     verdict = check_proof(theory, proof, args.tnorm)
+    proved = {line.formula for line in proof.lines} if goals else ()
+    missing = [render(goal) for goal in goals if goal not in proved]
+    if verdict.accepted and missing:
+        verdict = Verdict(False, reason=f"goal {missing[0]} is not a line of the proof")
     where = "" if verdict.line is None else f" at line {verdict.line}"
     text = "accepted" if verdict.accepted else f"rejected{where}: {verdict.reason}"
     _emit(args, verdict_to_dict(verdict), text)
@@ -305,6 +311,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-proof", parents=[logic], help="verify a proof script")
     p.add_argument("--theory", required=True)
     p.add_argument("--proof", required=True, help="JSON-lines proof script")
+    p.add_argument("--goal", action="append", metavar="FORMULA",
+                   help="a formula that some proof line must state, repeatable")
     p.set_defaults(handler=_cmd_check_proof)
 
     p = sub.add_parser(

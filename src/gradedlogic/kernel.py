@@ -690,6 +690,7 @@ def _derive_negtop_to_bot(b: ProofBuilder) -> int:
 
 _JUST_KINDS = {Hyp: "hyp", AxiomInst: "axiom", Taut: "taut", MP: "mp"}
 _JUST_CLASSES = {kind: cls for cls, kind in _JUST_KINDS.items()}
+_JUST_FIELDS = {cls: fields(cls) for cls in _JUST_KINDS}  # read per line, built once
 
 
 def _json_value(value) -> str:
@@ -724,7 +725,7 @@ def _just_from_dict(d, lineno: int) -> Justification:
     if cls is None:
         raise ValueError(f"{where}: unknown justification kind {kind!r}")
     values = {}
-    for field in fields(cls):
+    for field in _JUST_FIELDS[cls]:
         value = values[field.name] = args.get(field.name, field.default)
         if value is MISSING:
             raise ValueError(f"{where}: {kind} needs {field.name}")

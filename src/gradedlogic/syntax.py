@@ -35,8 +35,8 @@ through one ``conjuncts``; ``atoms`` yields the atoms left to right.
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 from dataclasses import dataclass, fields
+from itertools import accumulate, islice
 from typing import Callable, Iterable, Iterator, Union
 
 from .grades import GRADE_LITERAL, Grade, as_grade
@@ -353,19 +353,18 @@ _RENDER = {
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-# One match per token; the pattern skips the whitespace before it.
+# One match per token, whose text is the one group; the pattern skips the
+# whitespace before it.  The end of input is the text "", once or twice.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<op>/\\|\\/|=>|->|[()\[\],&|*~!/])"
-    rf"|(?P<NUM>{GRADE_LITERAL})"
-    rf"|(?P<IDENT>{_IDENT_RE.pattern})"
-    r"|(?P<EOF>\Z)|(?P<bad>\S))"
-)
+    rf"\s*(/\\|\\/|=>|->|[()\[\],&|*~!/]|{GRADE_LITERAL}|{_IDENT_RE.pattern}|\Z|\S)")
+_BRACKETS_RE = re.compile(r"([()])")
 
-_Token = namedtuple("_Token", "kind text pos")
+# Token text -> its kind, for all but names ("IDENT") and grades ("NUM").
+_KINDS = {w: w for w in ("/\\", "\\/", "=>", "->", *"()[],&|*~!/", "top", "bot")} | {"": "EOF"}
 
-# The tokens that can start a basic expression, and all it can hold.
+# The tokens that can start a basic expression; a basic group holds only _IN_BASIC.
 _BASIC_START = frozenset(("IDENT", "top", "bot", "~", "("))
-_BASIC_KINDS = _BASIC_START | {"&", "|", "*", ")"}
+_IN_BASIC = _BASIC_START | {"&", "|", "*", ")", "EOF"}
 
 
 class ParseError(ValueError):
@@ -380,29 +379,29 @@ class ParseError(ValueError):
 
 
 def _tokenize(text: str) -> tuple:
-    """The tokens of ``text``; the indices of the ``(`` whose bracket group
-    holds only basic-expression tokens, counting a group still open at the
-    end of input; and a map from each closed ``(`` to the index of its ``)``."""
-    tokens, basic, close, opened, foreign = [], set(), {}, [], 0
-    for i, m in enumerate(_TOKEN_RE.finditer(text)):
-        kind = m.lastgroup
-        word, pos = m[kind], m.start(kind)
-        if kind == "bad":
-            raise ParseError(f"unexpected character {word!r}", pos)
-        if kind == "op" or word in ("top", "bot"):
-            kind = word
-        tokens.append(_Token(kind, word, pos))
-        if kind == "(":
-            opened.append((i, foreign))
-        elif kind == ")" and opened:
-            start, before = opened.pop()
+    """The texts and kinds of the tokens of ``text``; the indices of the ``(`` whose
+    group holds only basic-expression tokens, counting a group still open at the end;
+    a map from each closed ``(`` to the index of its ``)``; each bracket's offset."""
+    words = _TOKEN_RE.findall(text)
+    # A name is an ASCII identifier and a grade starts with a digit (\d);
+    # any other text is one character that starts no token.
+    kinds = [_KINDS.get(w) or ("IDENT" if w.isascii() and w.isidentifier()
+                               else "NUM" if w[0].isdecimal() else "bad") for w in words]
+    brackets = [i for i, kind in enumerate(kinds) if kind == "(" or kind == ")"]
+    # A bracket's offset is the length of the text and brackets before it.
+    at = dict(zip(brackets, islice(accumulate(map(len, _BRACKETS_RE.split(text))), 0, None, 2)))
+    held = [0, *accumulate(map(_IN_BASIC.__contains__, kinds))]  # such tokens before i
+    basic, close, opened = set(), {}, []
+    for i in brackets:
+        if kinds[i] == "(":
+            opened.append(i)
+        elif opened:
+            start = opened.pop()
             close[start] = i
-            if foreign == before:
+            if held[i + 1] - held[start] == i + 1 - start:
                 basic.add(start)
-        elif kind == "EOF":
-            return tokens, basic | {start for start, before in opened if before == foreign}, close
-        elif kind not in _BASIC_KINDS:
-            foreign += 1
+    basic.update(i for i in opened if held[-1] - held[i] == len(kinds) - i)
+    return words, kinds, basic, close, at
 
 
 # ---------------------------------------------------------------------------
@@ -435,24 +434,25 @@ class _Parser:
 
     def __init__(self, text: str, memo: dict):  # memo: see parse_formula
         self.text, self.memo = text, memo
-        self.tokens, self.basic_groups, self.close = _tokenize(text)
+        self.words, self.kinds, self.basic_groups, self.close, self.at = _tokenize(text)
         self.pos = self.depth = self.peak = 0  # peak: deepest level reached
+        if "bad" in self.kinds:
+            i = self.kinds.index("bad")
+            raise self._error(f"unexpected character {self.words[i]!r}", i)
 
     # -- machinery ----------------------------------------------------------
 
-    def _peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def _error(self, message: str, i: int) -> ParseError:
+        """A ParseError at token ``i``; only an error needs a token's offset."""
+        return ParseError(message, next(islice(_TOKEN_RE.finditer(self.text), i, None)).start(1))
 
-    def _advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def _expect(self, kind: str, what: str) -> _Token:
-        tok = self._peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}", tok.pos)
-        return self._advance()
+    def _expect(self, kind: str, what: str) -> int:
+        """The index of the next token, which must be a ``kind``, past it."""
+        i = self.pos
+        if self.kinds[i] != kind:
+            raise self._error(f"expected {what}", i)
+        self.pos = i + 1
+        return i
 
     def _reach(self, level: int) -> bool:
         """Note that parsing reached nesting ``level``; False past MAX_NESTING."""
@@ -465,12 +465,12 @@ class _Parser:
     def _nested(self, inside: Callable):
         """``inside()`` one nesting level deeper, past the opening ``~``, ``!``
         or ``(``, and then the ``)`` that closes a ``(``."""
-        tok = self._advance()
-        self.depth += 1
+        i = self.pos
+        self.pos, self.depth = i + 1, self.depth + 1
         if not self._reach(self.depth):
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.pos)
+            raise self._error(f"nesting deeper than {MAX_NESTING} levels", i)
         node = inside()
-        if tok.kind == "(":
+        if self.kinds[i] == "(":
             self._expect(")", "')'")
         self.depth -= 1
         return node
@@ -479,45 +479,46 @@ class _Parser:
 
     def basic(self) -> BasicExpr:
         left = self.unary()
-        node = _BASIC_OPS.get(self._peek().kind)
+        node = _BASIC_OPS.get(self.kinds[self.pos])
         if node is None:
             return left
-        self._advance()
+        self.pos += 1
         return node(left, self.unary())
 
     def unary(self) -> BasicExpr:
-        tok = self._peek()
-        if tok.kind == "IDENT":
-            self._advance()
-            return self._leaf(tok, Var)
-        if tok.kind in ("top", "bot"):
-            self._advance()
-            return Top() if tok.kind == "top" else Bottom()
-        if tok.kind == "~":
+        i, kind = self.pos, self.kinds[self.pos]
+        if kind == "IDENT":
+            self.pos += 1
+            return self._leaf(i, Var)
+        if kind == "top" or kind == "bot":
+            self.pos += 1
+            return Top() if kind == "top" else Bottom()
+        if kind == "~":
             return Neg(self._nested(self.unary))
-        if tok.kind == "(":
+        if kind == "(":
             return self._nested(self.basic)
-        raise ParseError("expected a basic expression", tok.pos)
+        raise self._error("expected a basic expression", i)
 
     # -- atoms ----------------------------------------------------------------
 
     def grade(self) -> Grade:
         return self._leaf(self._expect("NUM", "a grade literal"), as_grade)
 
-    def _leaf(self, tok: _Token, build: Callable):
-        """``build(tok.text)``, once per memo; a ValueError is a ParseError at ``tok``."""
-        value = self.memo.get(tok.text)
+    def _leaf(self, i: int, build: Callable):
+        """``build`` of token ``i``'s text, once per memo; a ValueError is a ParseError there."""
+        word = self.words[i]
+        value = self.memo.get(word)
         if value is None:
             try:
-                value = self.memo[tok.text] = build(tok.text)
+                value = self.memo[word] = build(word)
             except ValueError as exc:
-                raise ParseError(str(exc), tok.pos) from None
+                raise self._error(str(exc), i) from None
         return value
 
     def gi_atom(self) -> Atom:
         antecedents = [self.basic()]
-        while self._peek().kind == ",":
-            self._advance()
+        while self.kinds[self.pos] == ",":
+            self.pos += 1
             antecedents.append(self.basic())
         self._expect("->", "'->['")
         self._expect("[", "'['")
@@ -529,25 +530,25 @@ class _Parser:
     def q_atom(self) -> Atom:
         """``name , grade``, the name and comma already seen by ``term``."""
         self.pos += 2
-        return Atom(GradedVariable(self.tokens[self.pos - 2].text, self.grade()))
+        return Atom(GradedVariable(self.words[self.pos - 2], self.grade()))
 
     # -- formulas ---------------------------------------------------------------
 
     def term(self) -> OuterFormula:
-        tok, i, t = self._peek(), self.pos, self.tokens
-        if tok.kind == "!":
+        i, kinds = self.pos, self.kinds
+        if kinds[i] == "!":
             return ONot(self._nested(self.term))
-        if tok.kind != "(" or i in self.basic_groups:
+        if kinds[i] != "(" or i in self.basic_groups:
             return self.gi_atom()
         end = self.close.get(i, i)  # an unclosed group fails to parse below
-        key = self.text[tok.pos:t[end].pos + 1]
+        key = self.text[self.at[i]:self.at[end] + 1]
         hit = self.memo.get(key)
         if hit is not None and self._reach(self.depth + hit[1]):
             self.pos = end + 1
             return hit[0]
         outer_peak, self.peak = self.peak, self.depth
-        graded_var = (t[i + 1].kind == "IDENT" and t[i + 2].kind == ","
-                      and t[i + 3].kind not in _BASIC_START)
+        graded_var = (kinds[i + 1] == "IDENT" and kinds[i + 2] == ","
+                      and kinds[i + 3] not in _BASIC_START)
         node = self._nested(self.q_atom if graded_var else self.formula)
         self.memo[key] = (node, self.peak - self.depth)
         self.peak = max(outer_peak, self.peak)
@@ -555,16 +556,16 @@ class _Parser:
 
     def formula(self) -> OuterFormula:
         left = self.term()
-        tok = self._peek()
-        node = _FORMULA_OPS.get(tok.kind)
+        i = self.pos
+        node = _FORMULA_OPS.get(self.kinds[i])
         if node is None:
             return left
-        self._advance()
+        self.pos = i + 1
         right = self.term()
         try:
             return node(left, right)
         except ValueError as exc:  # mixed atom kinds
-            raise ParseError(str(exc), tok.pos) from None
+            raise self._error(str(exc), i) from None
 
 
 # Exact token kind -> the node of a binary operator, one table per level.
@@ -600,18 +601,16 @@ def parse_formula(text: str, memo: Union[dict, None] = None) -> OuterFormula:
 
 
 def parse_theory(text: str) -> tuple:
-    """Parse a newline-separated list of formulas.
-
-    Blank lines and lines starting with ``#`` are skipped; errors carry the
-    1-based line number.
-    """
-    formulas = []
+    """Parse a newline-separated list of formulas, which share one ``parse_formula``
+    memo.  Blank lines and lines starting with ``#`` are skipped; errors carry
+    the 1-based line number."""
+    formulas, memo = [], {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            formulas.append(parse_formula(line))
+            formulas.append(parse_formula(line, memo))
         except ParseError as exc:
             raise ParseError(exc.message, exc.position, line=lineno) from None
     return tuple(formulas)

@@ -464,6 +464,32 @@ class TestCheckProofCommand:
         assert not out
         assert err.startswith("error: proof line 0:")
 
+    def test_goals_refuse_a_proof_truncated_to_its_hyp_lines(self, proof_files, capsys,
+                                                             tmp_path):
+        theory, proof = proof_files
+        with open(proof, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        low, high = (json.loads(line)["formula"] for line in lines[-2:])
+        truncated = tmp_path / "hyp_only.jsonl"
+        truncated.write_text("".join(line + "\n" for line in lines
+                                     if json.loads(line)["just"]["kind"] == "hyp"),
+                             encoding="utf-8")
+        argv = ("check-proof", "--theory", theory, "--proof", str(truncated))
+        goals = ("--goal", low, "--goal", high)
+        assert run(capsys, *argv) == (0, "accepted\n", "")
+        reason = f"goal {low} is not a line of the proof"
+        assert run(capsys, *argv, *goals) == (1, f"rejected: {reason}\n", "")
+        assert run(capsys, *argv, "--json", *goals) == (
+            1, json.dumps({"accepted": False, "reason": reason}, sort_keys=True) + "\n", "")
+        # the whole proof states both goals; a goal is read as a formula, so
+        # another spelling of the same formula is the same goal
+        whole = ("check-proof", "--theory", theory, "--proof", proof, *goals)
+        assert run(capsys, *whole) == (0, "accepted\n", "")
+        assert run(capsys, *whole, "--json") == (0, '{"accepted": true}\n', "")
+        assert run(capsys, *whole, "--goal", f"({low})")[:2] == (0, "accepted\n")
+        code, out, err = run(capsys, *whole, "--goal", "delta ->[1/8")
+        assert (code, out) == (2, "") and err.startswith("error: syntax error")
+
     def test_mp_with_mixed_atom_kinds_is_rejected(self, capsys, tmp_path):
         theory = tmp_path / "mixed.lgi"
         theory.write_text("p ->[1] q\n(x, 1)\n", encoding="utf-8")

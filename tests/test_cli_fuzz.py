@@ -2,9 +2,10 @@
 
 Each case takes a working invocation of one subcommand and mutates one or
 more of its inputs: a theory file, a proof script, a questionnaire spec, an
-answers CSV, or an argument value (a grade, ``--dim``, ``--grid``,
-``--grid-denominator``).  Whatever the input, ``main`` returns 0, 1 or 2
-without raising; argparse's own usage exit, ``SystemExit(2)``, counts as 2.
+answers CSV, or an argument value (a grade, a ``--goal`` formula, ``--dim``,
+``--grid``, ``--grid-denominator``).  Whatever the input, ``main`` returns
+0, 1 or 2 without raising; argparse's own usage exit, ``SystemExit(2)``,
+counts as 2.
 Exit 1 comes only with the command's negative verdict on stdout and nothing
 on stderr, and exit 2 only with a message on stderr.  A grid searched has
 at most 4 points a side, and one past a machine word must meet the budget,
@@ -176,6 +177,7 @@ def _check_proof(rng, tmp_path):
     name = rng.choice(("score_n2", "weaken_chain"))
     theory_text = (FIXTURES / f"{name}.lgi").read_text(encoding="utf-8")
     proof_text = (FIXTURES / f"{name}.proof.jsonl").read_text(encoding="utf-8")
+    goals = [json.loads(line)["formula"] for line in proof_text.splitlines()[-2:]]
     roll = rng.random()
     if roll < 0.2:
         theory_text = mutate(rng, theory_text)
@@ -183,8 +185,12 @@ def _check_proof(rng, tmp_path):
         proof_text = mutate(rng, proof_text)
     else:
         proof_text = mutate_json_line(rng, proof_text)
+    # goals: the proof's last two lines or a formula it does not state, maybe mutated
+    goal_args = []
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        goal_args += ["--goal", maybe(rng, rng.choice(goals + ["p ->[1/2] p"]))]
     return ["check-proof", *tnorm_args(rng), "--theory", write(tmp_path, "t.lgi", theory_text),
-            "--proof", write(tmp_path, "p.jsonl", proof_text)]
+            "--proof", write(tmp_path, "p.jsonl", proof_text), *goal_args]
 
 
 def _qcheck(rng, tmp_path):
