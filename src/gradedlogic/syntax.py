@@ -362,7 +362,8 @@ _BRACKETS_RE = re.compile(r"([()])")
 # Token text -> its kind, for all but names ("IDENT") and grades ("NUM").
 _KINDS = {w: w for w in ("/\\", "\\/", "=>", "->", *"()[],&|*~!/", "top", "bot")} | {"": "EOF"}
 
-# The tokens that can start a basic expression; a basic group holds only _IN_BASIC.
+# The tokens that can start a basic expression; a basic group holds only
+# _IN_BASIC, and a group still open at the end of input runs into EOF.
 _BASIC_START = frozenset(("IDENT", "top", "bot", "~", "("))
 _IN_BASIC = _BASIC_START | {"&", "|", "*", ")", "EOF"}
 
@@ -383,8 +384,7 @@ def _tokenize(text: str) -> tuple:
     group holds only basic-expression tokens, counting a group still open at the end;
     a map from each closed ``(`` to the index of its ``)``; each bracket's offset."""
     words = _TOKEN_RE.findall(text)
-    # A name is an ASCII identifier and a grade starts with a digit (\d);
-    # any other text is one character that starts no token.
+    # A name is an ASCII identifier, a grade starts with \d, anything else is one character.
     kinds = [_KINDS.get(w) or ("IDENT" if w.isascii() and w.isidentifier()
                                else "NUM" if w[0].isdecimal() else "bad") for w in words]
     brackets = [i for i, kind in enumerate(kinds) if kind == "(" or kind == ")"]
