@@ -28,7 +28,7 @@ their denominators, and a distance or degree becomes one Fraction at the
 end.  ``_region`` compiles a formula once, in one walk, into a test of
 scaled worlds, so the grid check builds no Fraction per world and refuses
 unbound variables and implication atoms before the first world.  An atom at
-grade 1 is d(w, prototypes) == 0 and one at grade 0 d(w, counterexamples) == 0.
+grade 1 tests membership of the prototypes, one at 0 of the counterexamples.
 """
 
 from __future__ import annotations
@@ -164,8 +164,19 @@ def set_distance(w: World, s: PointSet) -> Fraction:
     return Fraction(_scaled_distance(s, scale)(x), scale)
 
 
+def _member(s: PointSet, scale: int) -> Callable[[tuple], bool]:
+    """``_scaled_distance(s, scale)(x) == 0``, decided by one compare or one set lookup."""
+    if isinstance(s, Face):
+        i, v = s.index, s.value.numerator * scale
+        return lambda x: x[i] == v
+    m = scale // s.denominator
+    return frozenset(tuple([c * m for c in q]) for q in s._ints).__contains__
+
+
 def contains(s: PointSet, w: World) -> bool:
-    return set_distance(w, s) == 0
+    _fit(s, len(w))
+    scale, x = _lattice(w, len(w), s.denominator)
+    return _member(s, scale)(x)
 
 
 def _disjoint(a: PointSet, b: PointSet) -> bool:
@@ -263,18 +274,20 @@ def _region(ev: QEvaluation, f: OuterFormula, scale: int) -> Callable[[tuple], b
     """Compile ``f`` to a membership test of worlds given as ints at ``scale``,
     a multiple of ``ev.denominator``.  Unbound variables and graded-implication
     atoms raise here, left to right, before any world is visited.  An atom at
-    u / v tests dc * v == u * (dp + dc), exactly dp == 0 if u = v, dc == 0 if u = 0."""
+    u / v tests dc * v == u * (dp + dc), at u = v and u = 0 by ``_member``."""
     if isinstance(f, Atom):
         q = f.content
         if not isinstance(q, GradedVariable):
             raise AtomKindError("graded-implication atoms have no region semantics")
-        to_protos, to_counters = _distances(ev, q.var, scale)
         u, v = q.grade.numerator, q.grade.denominator
-        if u == v:
-            return lambda x: to_protos(x) == 0
-        if u == 0:
-            return lambda x: to_counters(x) == 0
+        if u == v or u == 0:
+            pair = ev.pair(q.var)
+            return _member(pair.protos if u else pair.counters, scale)
+        to_protos, to_counters = _distances(ev, q.var, scale)
         return lambda x: (dc := to_counters(x)) * v == u * (to_protos(x) + dc)
+    if parts := implication_parts(f):  # the outer arrow: one closure, not two
+        a, b = _region(ev, parts[0], scale), _region(ev, parts[1], scale)
+        return lambda x: not a(x) or b(x)
     if isinstance(f, ONot):
         operand = _region(ev, f.operand, scale)
         return lambda x: not operand(x)

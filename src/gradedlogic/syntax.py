@@ -603,7 +603,7 @@ def parse_formula(text: str, memo: Union[dict, None] = None) -> OuterFormula:
 def parse_theory(text: str) -> tuple:
     """Parse a newline-separated list of formulas, which share one ``parse_formula``
     memo.  Blank lines and lines starting with ``#`` are skipped; errors carry
-    the 1-based line number."""
+    the 1-based line number and an offset within the line, indentation included."""
     formulas, memo = [], {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -612,5 +612,6 @@ def parse_theory(text: str) -> tuple:
         try:
             formulas.append(parse_formula(line, memo))
         except ParseError as exc:
-            raise ParseError(exc.message, exc.position, line=lineno) from None
+            indent = len(raw) - len(raw.lstrip())
+            raise ParseError(exc.message, indent + exc.position, line=lineno) from None
     return tuple(formulas)

@@ -39,6 +39,7 @@ from gradedlogic import (
     world,
 )
 from gradedlogic import Var, prototypes
+from gradedlogic.syntax import atoms
 
 F = Fraction
 
@@ -760,6 +761,87 @@ class TestCornerGradeDifferential:
                 expected = not any(_oracle_region(ev, atom, w) for w in _oracle_grid(n, k))
                 assert satisfied_on_grid(ev, ONot(atom), k) == expected, (pair, grade, k)
         assert len(cells) == 12 and min(cells.values()) >= 100, cells
+
+
+def _mixed_set(rng, n, k, kind):
+    """A set of ``kind`` whose points' coordinates mix the k-grid with
+    denominators coprime to k."""
+    if kind == "face":
+        return Face(rng.randrange(n), F(rng.randint(0, 1)))
+    size = 1 if kind == "one point" else rng.randint(2, 4)
+    return FiniteSet(tuple(tuple(_coprime_coordinate(rng, k) for _ in range(n))
+                           for _ in range(size)))
+
+
+def _arrow_formula(rng, ev, k, depth):
+    """A random formula of ``=>``, ``!``, ``/\\`` and ``\\/`` whose atoms sit
+    at grade 1 or 0 about two times in three, else at a degree the variable
+    takes at some grid world."""
+    if depth == 0 or rng.random() < 0.25:
+        var = rng.choice(ev.basic + tuple(ev.dependent))
+        roll = rng.random()
+        if roll < 0.65:
+            return qv(var, F(roll < 0.33))
+        return qv(var, _oracle_degree(ev, var, tuple(F(rng.randint(0, k), k) for _ in ev.basic)))
+    if rng.random() < 0.2:
+        return ONot(_arrow_formula(rng, ev, k, depth - 1))
+    make = rng.choice((outer_implies, outer_implies, OAnd, OOr))
+    return make(_arrow_formula(rng, ev, k, depth - 1), _arrow_formula(rng, ev, k, depth - 1))
+
+
+class TestMembershipDifferential:
+    """Corner-grade atoms and ``contains`` decide membership without a
+    distance; they must agree with the distance and with the Fraction oracle."""
+
+    def test_contains_is_a_zero_distance(self):
+        rng = random.Random(3001)
+        cells = collections.Counter()
+        for _ in range(600):
+            n, k = rng.randint(1, 4), rng.randint(1, 6)
+            kind = rng.choice(("face", "one point", "several points"))
+            s = _mixed_set(rng, n, k, kind)
+            mixed = isinstance(s, FiniteSet) and len({c.denominator for p in s.points
+                                                      for c in p}) > 1
+            for _ in range(4):
+                w = _world_near(rng, s, n, k)
+                inside = contains(s, w)
+                assert inside == (set_distance(w, s) == 0) == (_oracle_distance(w, s) == 0)
+                cells[kind, inside] += 1
+                cells["mixed denominators", inside] += mixed
+        assert len(cells) == 8 and min(cells.values()) >= 200, cells
+
+    def test_regions_of_arrows_against_fraction_oracle(self):
+        rng = random.Random(3002)
+        verdicts, members, grades = collections.Counter(), collections.Counter(), set()
+        for _ in range(200):
+            n, k = rng.randint(1, 3), rng.randint(1, 4)
+            ev = _random_qevaluation(rng, n, k)
+            f = _arrow_formula(rng, ev, k, rng.randint(1, 3))
+            grades |= {a.grade in (0, 1) for a in atoms(f)}
+            for w in itertools.chain(
+                _oracle_grid(n, k),
+                (tuple(_coprime_coordinate(rng, k) for _ in range(n)) for _ in range(3)),
+            ):
+                expected = _oracle_region(ev, f, w)
+                members[expected] += 1
+                assert in_region(ev, f, w) == expected, (ev, f, w)
+            expected = all(_oracle_region(ev, f, w) for w in _oracle_grid(n, k))
+            verdicts[expected] += 1
+            assert satisfied_on_grid(ev, f, k) == expected, (ev, f, k)
+        assert grades == {True, False}
+        assert min(verdicts.values()) >= 30, verdicts
+        assert min(members.values()) >= 500, members
+
+    @pytest.mark.parametrize("left", [F(1), F(0), F(1, 2)], ids=str)
+    @pytest.mark.parametrize("right", [F(1), F(0), F(1, 3)], ids=str)
+    def test_unbound_left_of_an_arrow_is_reported_first(self, left, right):
+        ev = QEvaluation(("x",), {})
+        f = outer_implies(qv("left", left), qv("right", right))
+        for decide in (lambda: in_region(ev, f, world([1])),
+                       lambda: satisfied_on_grid(ev, f, 2)):
+            with pytest.raises(UnboundVariableError) as refused:
+                decide()
+            assert refused.value.name == "left"
 
 
 # ---------------------------------------------------------------------------

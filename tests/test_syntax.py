@@ -281,6 +281,15 @@ class TestParse:
             parse_theory("p ->[1] q\np1 &\n")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("indent", ["    ", "\t", " \t  ", ""], ids=repr)
+    def test_theory_error_offset_counts_the_indentation(self, indent):
+        # the stray ")" sits at column len(indent) + 9 of its line, one
+        # offset per character, a tab included
+        with pytest.raises(ParseError) as exc:
+            parse_theory(f"p ->[1] q\n{indent}p ->[1] q)  \n")
+        assert (exc.value.line, exc.value.position) == (2, len(indent) + 9)
+        assert f"line 2, offset {len(indent) + 9}:" in str(exc.value)
+
 
 class TestRoundTrip:
     def test_basic_expressions(self):
