@@ -207,14 +207,14 @@ def _proof_names(stem: str, sheets) -> list:
     return list(owners)
 
 
-def _score_sheets(spec, sheets, kind, out_path=None):
+def _score_sheets(spec, sheets, out_path=None):
     """Cross-check the sheets one at a time, in input order, writing each proof
     beside ``out_path`` (if given) as soon as its sheet is scored.  Keeps only
     the report lines: returns the JSON lines, the text lines and all-agree."""
     names = _proof_names(out_path.stem, sheets) if out_path else [None] * len(sheets)
     lines, texts, agree = [], [], True
     for sheet, name in zip(sheets, names):
-        report = cross_check(sheet, spec, kind)
+        report = cross_check(sheet, spec)
         if name:
             proof = proof_to_json_lines(report.proof)
             (out_path.parent / name).write_text(proof, encoding="utf-8")
@@ -230,7 +230,7 @@ def _cmd_score(args) -> int:
     spec = load_spec(args.spec)
     sheets = ingest_answers(args.answers, spec)
     out_path = Path(args.out)
-    lines, texts, agree = _score_sheets(spec, sheets, args.tnorm, out_path)
+    lines, texts, agree = _score_sheets(spec, sheets, out_path)
     out_path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
     foot = f"wrote {len(lines)} reports to {out_path}"
     for line in lines if args.json else [*texts, foot]:
@@ -244,7 +244,7 @@ def _cmd_demo(args) -> int:
         spec = load_spec(spec_path)
     with resources.as_file(data.joinpath("demo_answers.csv")) as answers_path:
         sheets = ingest_answers(answers_path, spec)
-    lines, texts, agree = _score_sheets(spec, sheets, args.tnorm)
+    lines, texts, agree = _score_sheets(spec, sheets)
     head = f"{spec.name}: {len(spec.items)} items, scale 0..{spec.scale_steps}"
     foot = "all three scoring routes agree" if agree else "scoring routes DISAGREE"
     for line in lines if args.json else [head, *texts, foot]:
@@ -325,13 +325,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv-out", help="write the degree dump here instead of stdout")
     p.set_defaults(handler=_cmd_qcheck)
 
-    p = sub.add_parser("score", parents=[logic], help="score an answers file")
+    p = sub.add_parser("score", parents=[common], help="score an answers file")
     p.add_argument("--spec", required=True, help="questionnaire spec (JSON)")
     p.add_argument("--answers", required=True, help="answers CSV")
     p.add_argument("--out", required=True, help="reports file (JSON lines)")
     p.set_defaults(handler=_cmd_score)
 
-    p = sub.add_parser("demo", parents=[logic], help="score the bundled example")
+    p = sub.add_parser("demo", parents=[common], help="score the bundled example")
     p.set_defaults(handler=_cmd_demo)
 
     return parser

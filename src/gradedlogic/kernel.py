@@ -610,7 +610,6 @@ def build_score_derivation(
     answers: Sequence,
     items: Optional[Sequence[str]] = None,
     disorder: str = "delta",
-    kind: TNormKind = TNormKind.LUKASIEWICZ,
 ) -> Proof:
     """Derive both score bounds from the standard scoring theory.
 
@@ -627,7 +626,7 @@ def build_score_derivation(
     theory = score_theory(answers, items, disorder)
     delta = theory[0].content.consequent
     d = mean(floor.content.grade for floor in theory[2:2 + n])
-    b = ProofBuilder(theory, kind)
+    b = ProofBuilder(theory)
     tops = (Top(),) * n
 
     # Lower bound: mean the item floors through the first theory implication.

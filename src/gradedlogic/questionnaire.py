@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .grades import Grade, TNormKind, mean
+from .grades import Grade, _shown, mean
 from .kernel import Proof, build_score_derivation, check_proof
 from .prototypes import canonical_disorder_eval, degree
 from .syntax import Var
@@ -30,13 +30,12 @@ from .syntax import Var
 
 @dataclass(frozen=True)
 class QuestionnaireSpec:
-    """Items (id, prompt), scale step count, disorder variable, aggregation."""
+    """Items (id, prompt), scale step count and disorder variable; scored by the item mean."""
 
     name: str
     items: tuple
     scale_steps: int
     disorder: str
-    aggregation: str = "mean"
 
     def __post_init__(self):
         object.__setattr__(self, "items", tuple((i, t) for i, t in self.items))
@@ -45,10 +44,10 @@ class QuestionnaireSpec:
             strings += [("item id", item_id), ("item text", text)]
         for field, value in strings:
             if not isinstance(value, str):
-                raise ValueError(f"{field} must be a string, got {value!r}")
+                raise ValueError(f"{field} must be a string, got {_shown(value)}")
         steps = self.scale_steps
         if not isinstance(steps, int) or isinstance(steps, bool):
-            raise ValueError(f"scale_steps must be an integer, got {steps!r}")
+            raise ValueError(f"scale_steps must be an integer, got {_shown(steps)}")
         if not self.items:
             raise ValueError("a questionnaire needs at least one item")
         ids = [i for i, _ in self.items]
@@ -63,8 +62,6 @@ class QuestionnaireSpec:
             raise ValueError("disorder symbol collides with an item id")
         if steps < 1:
             raise ValueError("scale must have at least one step")
-        if self.aggregation != "mean":
-            raise ValueError(f"unsupported aggregation {self.aggregation!r}")
 
     @property
     def item_ids(self) -> tuple:
@@ -99,11 +96,14 @@ def spec_from_dict(data: dict) -> QuestionnaireSpec:
     """The spec in parsed JSON ``data``; ``QuestionnaireSpec`` judges its values."""
     try:
         items = tuple((item["id"], item["text"]) for item in data["items"])
-        fields = (data["name"], items, data["scale_steps"], data["disorder"],
-                  data.get("aggregation", "mean"))
+        fields = (data["name"], items, data["scale_steps"], data["disorder"])
+        aggregation = data.get("aggregation", "mean")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed questionnaire spec: {exc}") from None
-    return QuestionnaireSpec(*fields)
+    spec = QuestionnaireSpec(*fields)
+    if aggregation != "mean":  # JSON may name it; every score is the mean
+        raise ValueError(f"unsupported aggregation {_shown(aggregation)}")
+    return spec
 
 
 def load_spec(path) -> QuestionnaireSpec:
@@ -135,9 +135,8 @@ def sheet_from_raw(spec: QuestionnaireSpec, respondent: str,
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"{respondent}: answer for {item_id} is not an integer")
         if not 0 <= value <= spec.scale_steps:
-            raise ValueError(
-                f"{respondent}: answer {value} for {item_id} outside 0..{spec.scale_steps}"
-            )
+            raise ValueError(f"{respondent}: answer {_shown(value, str)} for {item_id} "
+                             f"outside 0..{_shown(spec.scale_steps, str)}")
         answers[item_id] = Fraction(value, spec.scale_steps)
     return AnswerSheet(respondent, answers)
 
@@ -173,7 +172,7 @@ def ingest_answers(path, spec: QuestionnaireSpec) -> list:
                     raw = {c: int(cell.lstrip("0") or "0") for c, cell in zip(columns, cells)}
                 except ValueError:  # more digits than that is past any scale
                     raise ValueError(f"{path}: line {lineno} has a cell too long "
-                                     f"to be in 0..{spec.scale_steps}") from None
+                                     f"to be in 0..{_shown(spec.scale_steps, str)}") from None
                 sheets.append(sheet_from_raw(spec, row[0], raw))
         except csv.Error as exc:  # e.g. a cell above the field size limit
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
@@ -192,11 +191,7 @@ def score_via_q(sheet: AnswerSheet, spec: QuestionnaireSpec) -> Grade:
     return degree(ev, spec.disorder, tuple(sheet.in_order(spec)))
 
 
-def score_via_lgim(
-    sheet: AnswerSheet,
-    spec: QuestionnaireSpec,
-    kind: TNormKind = TNormKind.LUKASIEWICZ,
-):
+def score_via_lgim(sheet: AnswerSheet, spec: QuestionnaireSpec):
     """Derive the score deductively; returns (grade, kernel-checked proof).
 
     The grade is read off the proved lower bound (second-to-last line); the
@@ -204,10 +199,8 @@ def score_via_lgim(
     kernel or construction defect and raises instead of being papered over.
     """
     answers = sheet.in_order(spec)
-    proof = build_score_derivation(
-        len(answers), answers, items=spec.item_ids, disorder=spec.disorder, kind=kind
-    )
-    verdict = check_proof(proof.theory, proof, kind)
+    proof = build_score_derivation(len(answers), answers, spec.item_ids, spec.disorder)
+    verdict = check_proof(proof.theory, proof)
     if not verdict.accepted:
         raise RuntimeError(
             f"internal scoring derivation rejected at line {verdict.line}: {verdict.reason}"
@@ -216,15 +209,11 @@ def score_via_lgim(
     return bound.grade, proof
 
 
-def cross_check(
-    sheet: AnswerSheet,
-    spec: QuestionnaireSpec,
-    kind: TNormKind = TNormKind.LUKASIEWICZ,
-) -> ScoreReport:
+def cross_check(sheet: AnswerSheet, spec: QuestionnaireSpec) -> ScoreReport:
     """Score all three ways and compare exactly."""
     direct = score_mean(sheet, spec)
     via_q = score_via_q(sheet, spec)
-    via_lgim, proof = score_via_lgim(sheet, spec, kind)
+    via_lgim, proof = score_via_lgim(sheet, spec)
     return ScoreReport(
         respondent=sheet.respondent,
         score_mean=direct,

@@ -212,7 +212,7 @@ def _score(rng, tmp_path):
     else:  # new answer values
         answers = re.sub(r"(?<=,)\d+", lambda m: rng.choice(("0", "1", "4", "5", "-1", "x", "")),
                          ANSWERS)
-    return ["score", *tnorm_args(rng), "--spec", write(tmp_path, "spec.json", spec),
+    return ["score", "--spec", write(tmp_path, "spec.json", spec),
             "--answers", write(tmp_path, "answers.csv", answers),
             "--out", str(tmp_path / "reports.jsonl")]
 

@@ -53,8 +53,10 @@ class TestSpec:
             QuestionnaireSpec("x", (("a", "t"),), 4, "a")
         with pytest.raises(ValueError):
             QuestionnaireSpec("x", (("2bad", "t"),), 4, "dep")
-        with pytest.raises(ValueError):
-            QuestionnaireSpec("x", (("a", "t"),), 4, "dep", aggregation="sum")
+        data = {"name": "x", "items": [{"id": "a", "text": "t"}], "scale_steps": 4,
+                "disorder": "dep", "aggregation": "sum"}
+        with pytest.raises(ValueError, match="^unsupported aggregation 'sum'$"):
+            spec_from_dict(data)
 
     def test_from_dict(self):
         data = {
@@ -65,7 +67,7 @@ class TestSpec:
         }
         spec = spec_from_dict(data)
         assert spec.scale_steps == 3
-        assert spec.aggregation == "mean"
+        assert spec_from_dict({**data, "aggregation": "mean"}) == spec
         with pytest.raises(ValueError, match="malformed"):
             spec_from_dict({"name": "x"})
 
@@ -161,6 +163,55 @@ class TestSheets:
             path.write_text(body, encoding="utf-8")
             with pytest.raises(ValueError, match=needle):
                 ingest_answers(path, SPEC)
+
+
+HUGE = 10**5000  # past int's 4,300-digit str limit
+HUGE_SHOWN = "<int of 16610 bits>"
+
+
+class TestHugeIntMessages:
+    """A message names its field and shows a huge int by its bit length, never
+    the digit-limit text; only library callers can pass one, as JSON and CSV
+    input cap integers at 4,300 digits."""
+
+    @pytest.mark.parametrize("name, items, message", [
+        (HUGE, (("a", "t"),), f"name must be a string, got {HUGE_SHOWN}"),
+        ("x", ((HUGE, "t"),), f"item id must be a string, got {HUGE_SHOWN}"),
+        ("x", (("a", HUGE),), f"item text must be a string, got {HUGE_SHOWN}"),
+    ], ids=["name", "item-id", "item-text"])
+    def test_spec_fields(self, name, items, message):
+        with pytest.raises(ValueError) as caught:
+            QuestionnaireSpec(name, items, 4, "d")
+        assert str(caught.value) == message
+
+    def test_spec_from_dict(self):
+        data = {"name": "x", "items": [{"id": "a", "text": "t"}], "scale_steps": 4,
+                "disorder": "d"}
+        with pytest.raises(ValueError) as caught:
+            spec_from_dict({**data, "scale_steps": [HUGE]})
+        assert str(caught.value) == "scale_steps must be an integer, got <list>"
+        with pytest.raises(ValueError) as caught:
+            spec_from_dict({**data, "aggregation": HUGE})
+        assert str(caught.value) == f"unsupported aggregation {HUGE_SHOWN}"
+
+    def test_answer_out_of_range(self):
+        spec = QuestionnaireSpec("x", (("a", "t"),), 4, "d")
+        with pytest.raises(ValueError) as caught:
+            sheet_from_raw(spec, "r", {"a": HUGE})
+        assert str(caught.value) == f"r: answer {HUGE_SHOWN} for a outside 0..4"
+
+    def test_huge_scale(self, tmp_path):
+        spec = QuestionnaireSpec("x", (("a", "t"),), HUGE, "d")
+        assert sheet_from_raw(spec, "r", {"a": 1}).answers == {"a": F(1, HUGE)}
+        with pytest.raises(ValueError) as caught:
+            sheet_from_raw(spec, "r", {"a": -1})
+        assert str(caught.value) == f"r: answer -1 for a outside 0..{HUGE_SHOWN}"
+        path = tmp_path / "answers.csv"
+        path.write_text("respondent,a\nr," + "9" * 5000 + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as caught:
+            ingest_answers(path, spec)
+        assert str(caught.value) == (f"{path}: line 2 has a cell too long "
+                                     f"to be in 0..{HUGE_SHOWN}")
 
 
 class TestScoring:
